@@ -279,7 +279,8 @@ def _gamma_rooted(f: StarFactorisation, trace: list | None = None) -> MonotoneDo
         while marks[k - 1] != p - 1:
             _apply_marked(facs, marks, k - 1, "LHM", trace)
             k -= 1
-    assert marks[: n - 1] == list(range(1, n)), "marked factors not in prefix"
+    if marks[: n - 1] != list(range(1, n)):
+        raise AssertionError("marked factors not in prefix")
 
     sequence = tuple(first_appearance) + (root,)
     sigma = Permutation.from_cycles(n, [sequence])
@@ -316,11 +317,13 @@ def _reconstruct_star(
         while k + 1 < len(facs) and root not in facs[k + 1]:
             _apply(facs, k, "RHM", trace)
             k += 1
-    assert all(root in t for t in facs), "push-back left a non-star factor"
+    if not all(root in t for t in facs):
+        raise AssertionError("push-back left a non-star factor")
 
     legs = tuple(t.other(root) for t in facs)
     out = StarFactorisation.from_legs(n, root, legs, md.target)
-    assert out.genus == md.genus
+    if out.genus != md.genus:
+        raise AssertionError(f"rebuilt star factorisation has genus {out.genus}, not {md.genus}")
     return out
 
 

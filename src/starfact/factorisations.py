@@ -13,15 +13,22 @@ Four families are covered.
   arbitrary transpositions, landing in a second class, generating a
   transitive group (H3'').
 
-Counting and listing are deliberately separate code paths: counters run a
-layered dynamic programme over (prefix product, auxiliary state), listers
-do a pruned depth-first search and return fully validated records.
+Counting and listing are deliberately separate code paths: listers do a
+pruned depth-first search and return fully validated records; counters
+share one layered walk over (prefix product, aux), where the product is its
+rank in S_n, moved by a per-degree table act[(a, b)][rank], and aux is the
+covered-leg bitmask (star), 0 (unconstrained star) or the least order rank
+of the next factor (monotone, monotone double).  One cache keeps the
+``_WALK_CACHE_SIZE`` most recently used walks.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import combinations, permutations
+from operator import methodcaller
 
 from .perms import (
     Partition,
@@ -274,47 +281,71 @@ def full_cycles(n: int) -> tuple[Permutation, ...]:
 
 
 # ---------------------------------------------------------------------------
+# the layered walk behind every counter
+
+
+# Walks kept at once; past this the least recently used walk is dropped.
+_WALK_CACHE_SIZE = 8
+_WALKS: OrderedDict[tuple, tuple[list[dict], dict]] = OrderedDict()
+
+
+@lru_cache(maxsize=2)
+def _coding(n: int) -> tuple[dict[bytes, int], dict[tuple[int, int], list[int]]]:
+    """S_n by lexicographic rank: {image tuple as bytes: rank}, and for each
+    transposition the row act[(a, b)][rank of p] == rank of p * (a b)."""
+    perms = list(map(bytes, permutations(range(1, n + 1))))
+    index = dict(zip(perms, range(len(perms))))
+    act = {}
+    for a, b in combinations(range(1, n + 1), 2):
+        swap = bytearray(range(256))
+        swap[a], swap[b] = b, a
+        act[a, b] = list(map(index.__getitem__, map(methodcaller("translate", swap), perms)))
+    return index, act
+
+
+def _rank(p: Permutation) -> int:
+    return _coding(p.n)[0][bytes(p.images)]
+
+
+def _walk(n: int, key: tuple, start, moves, steps: int) -> dict[int, dict[int, int]]:
+    """Layer ``steps`` of the walk ``key`` on S_n: aux -> {prefix rank: walks}.
+
+    The walk begins at the permutations ``start`` with aux 0; from aux ``x``
+    it may multiply by (a, b) and take aux ``y`` for each ((a, b), y) in
+    ``moves(x)``.  Layers are built on demand and kept with the walk.
+    """
+    entry = _WALKS.pop((n, key), None)
+    if entry is None:
+        entry = [{0: {_rank(p): 1 for p in start}}], {}
+    _WALKS[n, key] = entry
+    if len(_WALKS) > _WALK_CACHE_SIZE:
+        _WALKS.popitem(last=False)
+    layers, table = entry
+    while len(layers) <= steps:
+        nxt: dict[int, dict[int, int]] = {}
+        for x, group in layers[-1].items():
+            if x not in table:
+                table[x] = [(_coding(n)[1][t], y) for t, y in moves(x)]
+            for row, y in table[x]:
+                dst = nxt.setdefault(y, {})
+                get = dst.get
+                for r, c in group.items():
+                    r = row[r]
+                    dst[r] = get(r, 0) + c
+        layers.append(nxt)
+    return layers[steps]
+
+
+# ---------------------------------------------------------------------------
 # star factorisations
 
 
-_STAR_LAYERS: dict[tuple[int, int], list[dict]] = {}
-_STAR_FREE_LAYERS: dict[tuple[int, int], list[dict]] = {}
-
-
-def _star_layers(n: int, root: int, length: int) -> list[dict]:
-    """Layered walk counts over states (prefix product, covered-leg bitmask)."""
-    key = (n, root)
-    layers = _STAR_LAYERS.setdefault(key, [{(tuple(range(1, n + 1)), 0): 1}])
-    while len(layers) <= length:
-        nxt: dict = {}
-        for (images, mask), cnt in layers[-1].items():
-            for a in range(1, n + 1):
-                if a == root:
-                    continue
-                new_images = tuple(
-                    root if v == a else a if v == root else v for v in images
-                )
-                state = (new_images, mask | (1 << (a - 1)))
-                nxt[state] = nxt.get(state, 0) + cnt
-        layers.append(nxt)
-    return layers
-
-
-def _star_free_layers(n: int, root: int, length: int) -> list[dict]:
-    key = (n, root)
-    layers = _STAR_FREE_LAYERS.setdefault(key, [{tuple(range(1, n + 1)): 1}])
-    while len(layers) <= length:
-        nxt: dict = {}
-        for images, cnt in layers[-1].items():
-            for a in range(1, n + 1):
-                if a == root:
-                    continue
-                new_images = tuple(
-                    root if v == a else a if v == root else v for v in images
-                )
-                nxt[new_images] = nxt.get(new_images, 0) + cnt
-        layers.append(nxt)
-    return layers
+def _star_moves(n: int, root: int, cover: bool, mask: int):
+    """Moves (a root) of a star walk.  With ``cover`` the aux is the bitmask
+    of legs used so far; without it the aux stays 0."""
+    for a in range(1, n + 1):
+        if a != root:
+            yield (min(a, root), max(a, root)), (mask | 1 << (a - 1)) if cover else 0
 
 
 def star_length(target: Permutation, genus: int) -> int:
@@ -330,7 +361,9 @@ def count_star(target: Permutation, genus: int, root: int) -> int:
         return 0
     m = star_length(target, genus)
     full = ((1 << n) - 1) & ~(1 << (root - 1))
-    return _star_layers(n, root, m)[m].get((target.images, full), 0)
+    layer = _walk(n, ("star", root), (Permutation.identity(n),),
+                  partial(_star_moves, n, root, True), m)
+    return layer.get(full, {}).get(_rank(target), 0)
 
 
 def count_star_unconstrained(target: Permutation, length: int, root: int) -> int:
@@ -341,7 +374,9 @@ def count_star_unconstrained(target: Permutation, length: int, root: int) -> int
         raise ValueError(f"root {root} outside [{n}]")
     if length < 0:
         return 0
-    return _star_free_layers(n, root, length)[length].get(target.images, 0)
+    layer = _walk(n, ("star-free", root), (Permutation.identity(n),),
+                  partial(_star_moves, n, root, False), length)
+    return layer.get(0, {}).get(_rank(target), 0)
 
 
 def enumerate_star(target: Permutation, genus: int, root: int) -> list[StarFactorisation]:
@@ -382,47 +417,13 @@ def enumerate_star(target: Permutation, genus: int, root: int) -> list[StarFacto
 # monotone factorisations
 
 
-_MONO_LAYERS: dict[tuple[int, tuple[int, ...]], list[dict]] = {}
-_MD_LAYERS: dict[int, list[dict]] = {}
-
-
-def _mono_transitions(n: int, sequence: tuple[int, ...]):
-    """Per minimum-rank list of admissible (a, b, rank of larger) moves."""
-    order = TotalOrder(sequence)
-    moves = []
-    for t in all_transpositions(n):
-        big = order.larger_of(t)
-        moves.append((t.a, t.b, order.rank(big)))
-    by_rank = []
-    for r in range(n + 1):
-        by_rank.append(tuple(mv for mv in moves if mv[2] >= r))
-    return by_rank
-
-
-def _evolve_monotone(layers: list[dict], by_rank, n: int, length: int) -> None:
-    while len(layers) <= length:
-        nxt: dict = {}
-        for (images, r), cnt in layers[-1].items():
-            for a, b, rb in by_rank[r]:
-                new_images = tuple(b if v == a else a if v == b else v for v in images)
-                state = (new_images, rb)
-                nxt[state] = nxt.get(state, 0) + cnt
-        layers.append(nxt)
-
-
-def _mono_layers(n: int, order: TotalOrder, length: int) -> list[dict]:
-    key = (n, order.sequence)
-    layers = _MONO_LAYERS.setdefault(key, [{(tuple(range(1, n + 1)), 0): 1}])
-    _evolve_monotone(layers, _mono_transitions(n, order.sequence), n, length)
-    return layers
-
-
-def _md_layers(n: int, length: int) -> list[dict]:
-    if n not in _MD_LAYERS:
-        _MD_LAYERS[n] = [{(s.images, 0): 1 for s in full_cycles(n)}]
-    layers = _MD_LAYERS[n]
-    _evolve_monotone(layers, _mono_transitions(n, tuple(range(1, n + 1))), n, length)
-    return layers
+def _monotone_moves(order: TotalOrder, least: int):
+    """Moves of a monotone walk whose aux is the least order rank that the
+    next factor's larger symbol may have; the move's rank becomes the aux."""
+    for t in all_transpositions(order.n):
+        big = order.rank(order.larger_of(t))
+        if big >= least:
+            yield (t.a, t.b), big
 
 
 def monotone_length(target: Permutation, genus: int) -> int:
@@ -434,11 +435,15 @@ def count_monotone(target: Permutation, genus: int, order: TotalOrder | None = N
     n = target.n
     if order is None:
         order = TotalOrder.natural(n)
+    if order.n != n:
+        raise ValueError("order/target degree differs from n")
     if genus < 0:
         return 0
     m = monotone_length(target, genus)
-    layer = _mono_layers(n, order, m)[m]
-    return sum(layer.get((target.images, r), 0) for r in range(n + 1))
+    layer = _walk(n, ("monotone", order.sequence), (Permutation.identity(n),),
+                  partial(_monotone_moves, order), m)
+    rank = _rank(target)
+    return sum(group.get(rank, 0) for group in layer.values())
 
 
 def count_monotone_double(target: Permutation, genus: int) -> int:
@@ -447,8 +452,10 @@ def count_monotone_double(target: Permutation, genus: int) -> int:
     if genus < 0:
         return 0
     k = target.cycle_count - 1 + 2 * genus
-    layer = _md_layers(n, k)[k]
-    return sum(layer.get((target.images, r), 0) for r in range(n + 1))
+    layer = _walk(n, ("monotone-double",), full_cycles(n),
+                  partial(_monotone_moves, TotalOrder.natural(n)), k)
+    rank = _rank(target)
+    return sum(group.get(rank, 0) for group in layer.values())
 
 
 def _list_monotone_by_length(
@@ -547,8 +554,10 @@ def strictly_monotone_factorisation(target: Permutation) -> tuple[Transposition,
         facs.append(Transposition(j, i))
         current = current * Permutation.transposition(n, j, i)
     facs.reverse()
-    assert len(facs) == n - target.cycle_count
-    assert orbits([t.as_permutation(n) for t in facs], n) == orbits([target], n)
+    if len(facs) != n - target.cycle_count:
+        raise AssertionError(f"{len(facs)} factors for {target}, expected n - c")
+    if orbits([t.as_permutation(n) for t in facs], n) != orbits([target], n):
+        raise AssertionError(f"factor supports do not span the orbits of {target}")
     return tuple(facs)
 
 

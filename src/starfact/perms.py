@@ -245,16 +245,6 @@ class Permutation:
         return f"Permutation.parse({str(self)!r})"
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply ``p`` first, then ``q``."""
-    return p * q
-
-
-def conjugate(p: Permutation, by: Permutation) -> Permutation:
-    """Relabel each symbol ``s`` in ``p``'s cycles to ``by(s)``."""
-    return p.relabel(by)
-
-
 def symmetric_group(n: int):
     """Yield all of S_n in lexicographic image order."""
     for images in _iter_permutations(range(1, n + 1)):
@@ -516,10 +506,6 @@ def orbits(generators, n: int | None = None) -> OrbitPartition:
     for s in range(1, n + 1):
         groups.setdefault(find(s), set()).add(s)
     return OrbitPartition(n, frozenset(frozenset(b) for b in groups.values()))
-
-
-def is_transitive(generators, n: int) -> bool:
-    return orbits(generators, n).is_transitive
 
 
 class JoinCut(Enum):

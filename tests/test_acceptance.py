@@ -92,19 +92,19 @@ def test_criterion_02_transitive_star_counts_in_s3(announce):
 def test_criterion_03_star_equals_monotone_double(announce):
     with announce(3, "star = (cycle, monotone tail) counts, n <= 5, g <= 2", 300):
         report = run_suite("theorem-1.4")
-        assert report.passed, report.render()
+        assert report.passed, "\n".join(report.lines())
 
 
 def test_criterion_04_bijections_round_trip(announce):
     with announce(4, "all bijections invert exactly on exhaustive domains", 300):
         report = run_suite("bijections")
-        assert report.passed, report.render()
+        assert report.passed, "\n".join(report.lines())
 
 
 def test_criterion_05_generating_elements_match_counts(announce):
     with announce(5, "class-sum strata and h-coefficient count identities", 120):
         report = run_suite("theorem-1.1")
-        assert report.passed, report.render()
+        assert report.passed, "\n".join(report.lines())
 
         # Coefficient extraction against the DP counters, both families.
         for n in range(1, 6):
@@ -129,29 +129,29 @@ def test_criterion_05_generating_elements_match_counts(announce):
 def test_criterion_06_top_power_closed_form(announce):
     with announce(6, "top-slot powers equal e_(n-1) h_k in both bases", 120):
         report = run_suite("corollary-1.6")
-        assert report.passed, report.render()
+        assert report.passed, "\n".join(report.lines())
 
 
 def test_criterion_07_transitive_images_are_central(announce):
     with announce(7, "transitive images of symmetric functions are central", 120):
         report = run_suite("theorem-1.7")
-        assert report.passed, report.render()
+        assert report.passed, "\n".join(report.lines())
 
 
 def test_criterion_08_join_cut_recurrence(announce):
     with announce(8, "join-cut recurrence matches DP counts, i+|alpha| <= 6", 60):
         report = run_suite("recurrence-2.1")
-        assert report.passed, report.render()
+        assert report.passed, "\n".join(report.lines())
 
 
 def test_criterion_09_closed_formulas(announce):
     with announce(9, "series formula, closed forms, and their recurrence", 120):
         for name in ("formulas-6.2", "recurrence-6.3"):
             report = run_suite(name)
-            assert report.passed, report.render()
+            assert report.passed, "\n".join(report.lines())
 
 
 def test_criterion_10_double_hurwitz_relation(announce):
     with announce(10, "signed double Hurwitz relation by exhaustion", 600):
         report = run_suite("relation-6.4")
-        assert report.passed, report.render()
+        assert report.passed, "\n".join(report.lines())

@@ -6,11 +6,15 @@ every recorded move preserves the running product.  Degree 4 sweeps live in
 the verify suites.
 """
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starfact import Permutation, TotalOrder, Transposition, symmetric_group
+from starfact import Permutation, TotalOrder, Transposition, bijections, symmetric_group
 from starfact.bijections import (
     TraceStep,
     centrality_witness,
@@ -322,6 +326,31 @@ class TestReroot:
                         assert reroot(out, r) == f
                         image.add(out.legs)
                     assert image == {g.legs for g in by_root[s]}
+
+    def test_push_back_check_fires_when_moves_are_lost(self, monkeypatch):
+        # with Hurwitz moves turned into no-ops only the push-back stage needs
+        # a move here, so its invariant check is what must catch the loss
+        f = StarFactorisation(3, 3, (1, 2, 2, 1), Permutation.identity(3), 0)
+        monkeypatch.setattr(bijections, "_apply", lambda *args: None)
+        with pytest.raises(AssertionError, match="push-back left a non-star factor"):
+            reroot(f, 1)
+
+    def test_push_back_check_survives_optimisation(self):
+        code = textwrap.dedent("""
+            from starfact import bijections
+            from starfact.factorisations import StarFactorisation
+            from starfact.perms import Permutation
+
+            f = StarFactorisation(3, 3, (1, 2, 2, 1), Permutation.identity(3), 0)
+            bijections._apply = lambda *args: None
+            try:
+                bijections.reroot(f, 1)
+            except AssertionError as exc:
+                print(exc)
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "push-back left a non-star factor\n"
 
 
 class TestCentralityWitness:

@@ -5,6 +5,8 @@ Counts are cross-checked against the brute-force tuple generators in
 verify suites and the acceptance tests.
 """
 
+from itertools import permutations
+
 import pytest
 
 from starfact import Partition, Permutation, TotalOrder, Transposition, partitions_of
@@ -28,6 +30,7 @@ from starfact.factorisations import (
     star_length,
     strictly_monotone_factorisation,
 )
+from starfact import factorisations
 from starfact.algebra import evaluate, h, jm_element
 from starfact.perms import (
     class_representative,
@@ -35,6 +38,7 @@ from starfact.perms import (
     conjugacy_classes,
     symmetric_group,
 )
+from starfact.verify import order_panel
 
 from oracles import (
     compose_all,
@@ -272,6 +276,10 @@ class TestMonotoneCounts:
     def test_negative_genus(self):
         assert enumerate_monotone(perm("(1 2)", 3), -1) == []
         assert count_monotone(perm("(1 2)", 3), -1) == 0
+
+    def test_order_of_another_degree_is_rejected(self):
+        with pytest.raises(ValueError, match="order/target degree differs from n"):
+            count_monotone(perm("(1 4)"), 0, TotalOrder.natural(3))
 
     @pytest.mark.parametrize("order", SMALL_ORDERS, ids=str)
     def test_counts_match_brute_force_in_s3(self, order):
@@ -536,3 +544,45 @@ class TestCountsAgreeAcrossFamilies:
             w = class_representative(lam)
             for genus in (0, 1):
                 assert count_star(w, genus, n) == count_monotone_double(w, genus)
+
+
+class TestDpMatchesListingsInS5:
+    """Every class of S_5 at g <= 1: each DP count against its lister, or
+    against brute force where no lister exists."""
+
+    CLASSES = [class_representative(lam) for lam in partitions_of(5)]
+
+    def test_star_at_every_root(self):
+        for w in self.CLASSES:
+            for genus in (0, 1):
+                for root in range(1, 6):
+                    expected = len(enumerate_star(w, genus, root))
+                    assert count_star(w, genus, root) == expected, (str(w), genus, root)
+
+    def test_star_unconstrained_at_lengths_up_to_5(self):
+        for w in self.CLASSES:
+            for root in range(1, 6):
+                for length in range(6):
+                    expected = len(star_tuples(w, length, root, transitive=False))
+                    assert count_star_unconstrained(w, length, root) == expected
+
+    def test_monotone_under_the_order_panel(self):
+        for w in self.CLASSES:
+            for genus in (0, 1):
+                for order in order_panel(5):
+                    expected = len(enumerate_monotone(w, genus, order))
+                    assert count_monotone(w, genus, order) == expected, (str(w), genus, order)
+
+    def test_monotone_double(self):
+        for w in self.CLASSES:
+            for genus in (0, 1):
+                expected = len(enumerate_monotone_double(w, genus))
+                assert count_monotone_double(w, genus) == expected, (str(w), genus)
+
+    def test_walk_cache_stays_bounded_over_every_order(self):
+        ident = Permutation.identity(5)
+        for seq in permutations(range(1, 6)):
+            order = TotalOrder(seq)
+            assert count_monotone(ident, 1, order) == len(enumerate_monotone(ident, 1, order))
+            assert len(factorisations._WALKS) <= factorisations._WALK_CACHE_SIZE
+        assert len(factorisations._WALKS) == factorisations._WALK_CACHE_SIZE
