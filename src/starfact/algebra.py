@@ -13,12 +13,20 @@ The transitivity operator keeps, inside that canonical expansion, exactly
 the transposition tuples whose edges connect all of {1..n}.  It is linear
 over monomials but deliberately NOT an algebra homomorphism; see
 ``transitive_evaluate``.
+
+Plain values are products of ``AlgebraElement``s.  Transitive values of a
+monomial come from the layered walk of ``factorisations`` over (prefix
+product, connectivity blocks); ``method="expand"`` enumerates the tuples
+literally instead, as an independent cross-check.  Both memos keep at most
+``_MONOMIAL_CACHE_SIZE`` monomials.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from itertools import combinations, product
 
+from .factorisations import _coding, _walk
 from .perms import Partition, Permutation, conjugacy_classes, partitions_of
 
 
@@ -349,23 +357,20 @@ class _SlotVar(SymExpr):
 # evaluation, plain and transitive
 
 
-_MONO_VALUES: dict[tuple[int, tuple[int, ...]], AlgebraElement] = {}
-_T_MONO_VALUES: dict[tuple[int, tuple[int, ...]], dict] = {}
+# Monomial values kept by each of the two memos below; the largest uses in
+# the package need fewer: 786 for verify theorem-1.7 at its caps, 715 for
+# experiment span-dimension at n = 5.
+_MONOMIAL_CACHE_SIZE = 1024
 
 
+@lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
 def _monomial_value(n: int, exps: tuple[int, ...]) -> AlgebraElement:
-    key = (n, exps)
-    if key in _MONO_VALUES:
-        return _MONO_VALUES[key]
     last = max((i for i, a in enumerate(exps) if a), default=-1)
     if last < 0:
-        value = AlgebraElement.one(n)
-    else:
-        smaller = list(exps)
-        smaller[last] -= 1
-        value = _monomial_value(n, tuple(smaller)) * jm_element(n, last + 2)
-    _MONO_VALUES[key] = value
-    return value
+        return AlgebraElement.one(n)
+    smaller = list(exps)
+    smaller[last] -= 1
+    return _monomial_value(n, tuple(smaller)) * jm_element(n, last + 2)
 
 
 def evaluate(expr: SymExpr, n: int) -> AlgebraElement:
@@ -376,55 +381,28 @@ def evaluate(expr: SymExpr, n: int) -> AlgebraElement:
     return out
 
 
-def _blocks_key(parent: list[int]) -> tuple[int, ...]:
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    mins: dict[int, int] = {}
-    for s in range(len(parent)):
-        r = find(s)
-        mins[r] = min(mins.get(r, s), s)
-    return tuple(mins[find(s)] for s in range(len(parent)))
+def _transitive_moves(slots: tuple[int, ...], aux):
+    """Moves (i j) of a transitive walk, j the slot at the aux's position.
+    The aux is (slot position, block labels), where block labels give each
+    symbol the least (0-based) symbol joined to it by the factors so far."""
+    pos, blocks = aux
+    j = slots[pos]
+    for i in range(1, j):
+        lo, hi = sorted((blocks[i - 1], blocks[j - 1]))
+        yield (i, j), (pos + 1, tuple(lo if x == hi else x for x in blocks))
 
 
+@lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
 def _transitive_monomial(n: int, exps: tuple[int, ...]) -> dict:
-    """Transitive part of a canonical monomial: DP over (prefix product,
-    connectivity partition of {1..n}), slots ascending, factors per slot
-    chosen left to right."""
-    key = (n, exps)
-    if key in _T_MONO_VALUES:
-        return _T_MONO_VALUES[key]
-    start_key = tuple(range(n))
-    states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {
-        (tuple(range(1, n + 1)), start_key): 1
-    }
-    for slot_index, mult in enumerate(exps):
-        j = slot_index + 2
-        for _ in range(mult):
-            nxt: dict = {}
-            for (images, blocks), cnt in states.items():
-                for i in range(1, j):
-                    new_images = tuple(
-                        j if v == i else i if v == j else v for v in images
-                    )
-                    parent = list(blocks)
-                    ri, rj = parent[i - 1], parent[j - 1]
-                    if ri != rj:
-                        lo, hi = min(ri, rj), max(ri, rj)
-                        parent = [lo if x == hi else x for x in parent]
-                    state = (new_images, tuple(parent))
-                    nxt[state] = nxt.get(state, 0) + cnt
-            states = nxt
-    full = (0,) * n
-    out: dict[tuple[int, ...], int] = {}
-    for (images, blocks), cnt in states.items():
-        if blocks == full:
-            out[images] = out.get(images, 0) + cnt
-    _T_MONO_VALUES[key] = out
-    return out
+    """Transitive part of a canonical monomial: the layered walk over
+    (prefix product, connectivity partition of {1..n}), slots ascending,
+    factors per slot chosen left to right, read where one block is left."""
+    slots = tuple(j for j, mult in enumerate(exps, 2) for _ in range(mult))
+    layer = _walk(n, ("transitive", slots), (Permutation.identity(n),),
+                  partial(_transitive_moves, slots), len(slots),
+                  start_aux=(0, tuple(range(n))))
+    perms = list(_coding(n)[0])
+    return {tuple(perms[r]): c for r, c in layer.get((len(slots), (0,) * n), {}).items()}
 
 
 def _transitive_monomial_expand(n: int, exps: tuple[int, ...]) -> dict:

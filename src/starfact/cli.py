@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -117,19 +116,6 @@ def _parse_factors(text: str) -> tuple[Transposition, ...]:
             raise UsageError(f"bad factors {text!r}: ({a} {b}) is not a transposition")
         out.append(Transposition(x, y))
     return tuple(out)
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("STARFACT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"STARFACT_THREADS must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"STARFACT_THREADS must be a positive integer, got {raw!r}")
-    return value
 
 
 def _check_bound(args, name: str, value: int, cap: int, what: str) -> None:
@@ -395,8 +381,7 @@ def cmd_count(args) -> int:
         _check_bound(args, "n", n, _DH_N_CAP, "double Hurwitz enumeration")
         _check_bound(args, "genus", genus, _DH_G_CAP, "double Hurwitz enumeration")
         value = b_number(n, beta, genus)
-        config = {"family": "dh", "partition": str(beta), "genus": genus,
-                  "threads": args.threads}
+        config = {"family": "dh", "partition": str(beta), "genus": genus}
         results = [{"method": "listing", "count": value}]
         lines = [f"family=dh partition={beta} genus={genus}",
                  f"method=listing count={value}"]
@@ -426,7 +411,6 @@ def cmd_count(args) -> int:
         head.append(f"order={order}")
     config["genus"] = genus
     head.append(f"genus={genus}")
-    config["threads"] = args.threads
 
     if args.method == "auto":
         methods = ["dp"]
@@ -460,8 +444,7 @@ def cmd_list(args) -> int:
     n = target.n
     _check_bound(args, "n", n, _LIST_N_CAP, "listing")
     _check_bound(args, "genus", genus, _LIST_G_CAP, "listing")
-    config: dict = {"family": args.family, "target": str(target), "genus": genus,
-                    "threads": args.threads}
+    config: dict = {"family": args.family, "target": str(target), "genus": genus}
     if args.family == "star":
         root = args.root if args.root is not None else n
         if not 1 <= root <= n:
@@ -607,7 +590,7 @@ def cmd_trace(args) -> int:
         for s in trace
     ]
     results.append({"end": result.to_record()})
-    config = {"map": args.map, "threads": args.threads}
+    config = {"map": args.map}
     _emit(args, "trace", config, results, True, lines)
     return 0
 
@@ -639,7 +622,7 @@ def cmd_algebra(args) -> int:
     what = "transitive evaluation" if _contains_t(node) else "group algebra"
     _check_bound(args, "n", n, cap, what)
     element = _concrete(node, n)
-    config = {"n": n, "expr": args.expr, "threads": args.threads}
+    config = {"n": n, "expr": args.expr}
     try:
         decomp = element.decompose()
     except NotCentralError as exc:
@@ -689,9 +672,7 @@ def cmd_verify(args) -> int:
             _check_bound(args, name, value, cap, f"suite {args.suite}")
         overrides[name] = value
     report = run_suite(args.suite, **overrides)
-    config = {"suite": args.suite, "threads": args.threads, **{
-        k: v for k, v in {**spec.defaults, **overrides}.items()
-    }}
+    config = {"suite": args.suite, **spec.defaults, **overrides}
     results = [
         {"label": c.label, "passed": c.passed, "detail": c.detail}
         for c in report.checks
@@ -717,7 +698,7 @@ def cmd_table(args) -> int:
             for g in range(args.gmax + 1):
                 rows.append(agreement_row(lam, g))
     passed = all(r["all_agree"] for r in rows)
-    config = {"nmax": args.nmax, "gmax": args.gmax, "threads": args.threads}
+    config = {"nmax": args.nmax, "gmax": args.gmax}
     columns = ["partition", "genus", "count_star", "md_count", "feray",
                "closed_form", "all_agree"]
 
@@ -792,7 +773,7 @@ def cmd_experiment(args) -> int:
     _check_bound(args, "n", n, cap, f"experiment {args.name}")
     if n < 2:
         raise UsageError("--n must be at least 2")
-    config = {"name": args.name, "n": n, "threads": args.threads}
+    config = {"name": args.name, "n": n}
 
     if args.name == "t-basis-agreement":
         # the transitivity operator is applied to one fixed monomial
@@ -847,16 +828,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact counting, bijections and group-algebra checks "
         "for transposition factorisations in symmetric groups.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", default="text",
-                        choices=["text", "json", "csv", "markdown"],
-                        help="output format (csv/markdown apply to table)")
-    common.add_argument("--unsafe-bounds", action="store_true",
-                        help="override the built-in feasibility bounds")
+
+    def common(*formats: str) -> list[argparse.ArgumentParser]:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--format", default="text",
+                            choices=["text", "json", *formats], help="output format")
+        parent.add_argument("--unsafe-bounds", action="store_true",
+                            help="override the built-in feasibility bounds")
+        return [parent]
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("count", parents=[common],
+    pc = sub.add_parser("count", parents=common(),
                         help="count factorisations of one target")
     pc.add_argument("--family", required=True,
                     choices=["star", "monotone", "md", "dh"])
@@ -870,7 +853,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["auto", "dp", "listing", "formula"])
     pc.set_defaults(func=cmd_count)
 
-    pl = sub.add_parser("list", parents=[common],
+    pl = sub.add_parser("list", parents=common(),
                         help="list factorisations of one target")
     pl.add_argument("--family", required=True, choices=["star", "monotone", "md"])
     pl.add_argument("--target")
@@ -881,7 +864,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--order")
     pl.set_defaults(func=cmd_list)
 
-    pt = sub.add_parser("trace", parents=[common],
+    pt = sub.add_parser("trace", parents=common(),
                         help="print the move-by-move trace of a bijection")
     pt.add_argument("--map", required=True,
                     choices=["gamma", "gamma-inverse", "lambda-j",
@@ -903,14 +886,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--to-target", dest="to_target")
     pt.set_defaults(func=cmd_trace)
 
-    pa = sub.add_parser("algebra", parents=[common],
+    pa = sub.add_parser("algebra", parents=common(),
                         help="evaluate an expression in the group algebra")
     pa.add_argument("--n", type=int, required=True)
     pa.add_argument("--expr", required=True,
                     help='e.g. "T(J[4]^4)", "p[4]", "e[2,1]"')
     pa.set_defaults(func=cmd_algebra)
 
-    pv = sub.add_parser("verify", parents=[common],
+    pv = sub.add_parser("verify", parents=common(),
                         help="run a named verification suite")
     pv.add_argument("--suite", required=True, choices=sorted(SUITES))
     pv.add_argument("--n", type=int)
@@ -919,13 +902,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--wmax", type=int)
     pv.set_defaults(func=cmd_verify)
 
-    pb = sub.add_parser("table", parents=[common],
+    pb = sub.add_parser("table", parents=common("csv", "markdown"),
                         help="cross-method agreement table over classes")
     pb.add_argument("--nmax", type=int, default=4)
     pb.add_argument("--gmax", type=int, default=1)
     pb.set_defaults(func=cmd_table)
 
-    pe = sub.add_parser("experiment", parents=[common],
+    pe = sub.add_parser("experiment", parents=common(),
                         help="exploratory computations around the "
                              "transitivity operator")
     pe.add_argument("--name", required=True,
@@ -940,7 +923,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.threads = _threads_from_env()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

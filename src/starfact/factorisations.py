@@ -18,7 +18,9 @@ pruned depth-first search and return fully validated records; counters
 share one layered walk over (prefix product, aux), where the product is its
 rank in S_n, moved by a per-degree table act[(a, b)][rank], and aux is the
 covered-leg bitmask (star), 0 (unconstrained star) or the least order rank
-of the next factor (monotone, monotone double).  One cache keeps the
+of the next factor (monotone, monotone double).  The transitive part of a
+Jucys-Murphy monomial in ``algebra`` runs on the same walk, with aux
+(slot position, connectivity blocks).  One cache keeps the
 ``_WALK_CACHE_SIZE`` most recently used walks.
 """
 
@@ -307,16 +309,19 @@ def _rank(p: Permutation) -> int:
     return _coding(p.n)[0][bytes(p.images)]
 
 
-def _walk(n: int, key: tuple, start, moves, steps: int) -> dict[int, dict[int, int]]:
+def _walk(n: int, key: tuple, start, moves, steps: int, start_aux=0) -> dict:
     """Layer ``steps`` of the walk ``key`` on S_n: aux -> {prefix rank: walks}.
 
-    The walk begins at the permutations ``start`` with aux 0; from aux ``x``
-    it may multiply by (a, b) and take aux ``y`` for each ((a, b), y) in
-    ``moves(x)``.  Layers are built on demand and kept with the walk.
+    The walk begins at the permutations ``start`` with aux ``start_aux``;
+    from aux ``x`` it may multiply by (a, b) and take aux ``y`` for each
+    ((a, b), y) in ``moves(x)``.  Layers are built on demand and kept with
+    the walk.  Callers: the star, unconstrained star, monotone and monotone
+    double counters here, which start at aux 0, and
+    ``algebra._transitive_monomial``, which starts at (0, singleton blocks).
     """
     entry = _WALKS.pop((n, key), None)
     if entry is None:
-        entry = [{0: {_rank(p): 1 for p in start}}], {}
+        entry = [{start_aux: {_rank(p): 1 for p in start}}], {}
     _WALKS[n, key] = entry
     if len(_WALKS) > _WALK_CACHE_SIZE:
         _WALKS.popitem(last=False)

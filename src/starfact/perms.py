@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from itertools import permutations as _iter_permutations
 from math import factorial
@@ -443,15 +442,6 @@ def sort_swaps(order: TotalOrder) -> tuple[int, ...]:
     return tuple(swaps)
 
 
-def simple_reflection_decomposition(target: TotalOrder) -> tuple[int, ...]:
-    """Adjacent-swap positions transforming the natural order into ``target``.
-
-    Deterministic (reversed bubble sort); replaying the swaps on the natural
-    sequence reproduces ``target``.
-    """
-    return tuple(reversed(sort_swaps(target)))
-
-
 # ---------------------------------------------------------------------------
 # orbits
 
@@ -507,18 +497,3 @@ def orbits(generators, n: int | None = None) -> OrbitPartition:
         groups.setdefault(find(s), set()).add(s)
     return OrbitPartition(n, frozenset(frozenset(b) for b in groups.values()))
 
-
-class JoinCut(Enum):
-    JOIN = "join"
-    CUT = "cut"
-
-
-def join_cut(nu: Permutation, t: Transposition) -> JoinCut:
-    """JOIN when ``t``'s symbols lie in different cycles of ``nu`` (so the
-    product ``nu * t`` has one cycle fewer), CUT when in the same cycle."""
-    x = nu.apply(t.a)
-    while x != t.a:
-        if x == t.b:
-            return JoinCut.CUT
-        x = nu.apply(x)
-    return JoinCut.JOIN

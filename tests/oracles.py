@@ -7,6 +7,7 @@ bijections have something dumb and trustworthy to disagree with.
 
 from __future__ import annotations
 
+from enum import Enum
 from itertools import combinations, permutations, product
 
 from starfact import Partition, Permutation, TotalOrder, Transposition
@@ -149,3 +150,19 @@ def central_factorial_direct(m: int, k: int) -> int:
         if good:
             count += 1
     return count
+
+
+class JoinCut(Enum):
+    JOIN = "join"
+    CUT = "cut"
+
+
+def join_cut(nu: Permutation, t: Transposition) -> JoinCut:
+    """JOIN when ``t``'s symbols lie in different cycles of ``nu`` (so the
+    product ``nu * t`` has one cycle fewer), CUT when in the same cycle."""
+    x = nu.apply(t.a)
+    while x != t.a:
+        if x == t.b:
+            return JoinCut.CUT
+        x = nu.apply(x)
+    return JoinCut.JOIN

@@ -5,12 +5,16 @@ The frozen fourth-power table guards against sign or convention drift; the
 oracle recomputes it by expanding words of star transpositions literally.
 """
 
+from itertools import product
+
 import pytest
 
 from starfact import Partition, Permutation, partitions_of
 from starfact.algebra import (
     AlgebraElement,
     NotCentralError,
+    _monomial_value,
+    _transitive_monomial,
     class_sum,
     e,
     evaluate,
@@ -24,7 +28,7 @@ from starfact.algebra import (
     verify_corollary_1_6,
     verify_elementary_class_sums,
 )
-from starfact.factorisations import count_star, star_length
+from starfact.factorisations import _WALK_CACHE_SIZE, _WALKS, count_star, star_length
 from starfact.perms import class_representative, conjugacy_classes, symmetric_group
 
 from oracles import jm_power_table
@@ -32,6 +36,15 @@ from oracles import jm_power_table
 
 def perm(text, n=None):
     return Permutation.parse(text, n)
+
+
+def monomials(nmax, wmax):
+    """(n, exponents of slots 2..n) for every monomial of weight <= wmax,
+    1 <= n <= nmax."""
+    for n in range(1, nmax + 1):
+        for exps in product(range(wmax + 1), repeat=n - 1):
+            if sum(exps) <= wmax:
+                yield n, exps
 
 
 class TestElements:
@@ -211,14 +224,27 @@ class TestTransitivityOperator:
         assert format_class_decomposition(got.decompose()) == "3*K[3,1] + 4*K[2,2]"
 
     def test_methods_agree(self):
-        exprs = [e(2, 1), h(3), p(2, 2), (e(1) + h(2)) * p(1), jm_var(3) ** 2]
-        for n in (3, 4):
-            for expr in exprs:
-                assert transitive_evaluate(expr, n, method="dp") == transitive_evaluate(
-                    expr, n, method="expand"
-                )
+        for n, exps in monomials(5, 5):
+            expr = e()  # the empty product
+            for j, a in enumerate(exps, 2):
+                expr = expr * jm_var(j) ** a
+            assert transitive_evaluate(expr, n, method="dp") == transitive_evaluate(
+                expr, n, method="expand"
+            ), (n, exps)
         with pytest.raises(ValueError):
             transitive_evaluate(e(1), 3, method="fast")
+
+    def test_caches_stay_bounded(self):
+        _transitive_monomial.cache_clear()
+        sweep = list(monomials(5, 5))
+        for n, exps in sweep:
+            _transitive_monomial(n, exps)
+            assert len(_WALKS) <= _WALK_CACHE_SIZE
+        info = _transitive_monomial.cache_info()
+        assert info.misses == info.currsize == len(sweep)
+        for memo in (_transitive_monomial, _monomial_value):
+            assert memo.cache_info().maxsize is not None
+            assert memo.cache_info().currsize <= memo.cache_info().maxsize
 
     def test_linear_over_expansion(self):
         n = 4

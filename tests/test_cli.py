@@ -88,6 +88,15 @@ class TestCount:
         assert code == 2
         assert err.startswith("error: genus must be nonnegative")
 
+    def test_table_formats_are_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", "--family", "star", "--target", "(1 2)(3)",
+                      "--genus", "0", "--format", "csv"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --format: invalid choice: 'csv'" in err
+
     def test_dp_bound_refused(self, capsys):
         code, _, err = run(
             capsys, "count", "--family", "star", "--partition", "[7]", "--genus", "0"
@@ -330,23 +339,14 @@ class TestExperiment:
 
 
 class TestEnvironment:
-    def test_thread_env_is_recorded_but_harmless(self, capsys, monkeypatch):
-        base = run(capsys, "table", "--n", "3", "--gmax", "1")
-        monkeypatch.setenv("STARFACT_THREADS", "4")
-        threaded = run(capsys, "table", "--n", "3", "--gmax", "1")
-        assert base == threaded
-        code, out, _ = run(
-            capsys, "count", "--family", "md", "--target", "(1 2)", "--genus", "0",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["config"]["threads"] == 4
-
-    def test_bad_thread_env(self, capsys, monkeypatch):
+    def test_thread_env_is_ignored(self, capsys, monkeypatch):
+        argv = ("count", "--family", "md", "--target", "(1 2)", "--genus", "0",
+                "--format", "json")
+        base = run(capsys, *argv)
         monkeypatch.setenv("STARFACT_THREADS", "zero")
-        code, _, err = run(capsys, "count", "--family", "md", "--target", "(1 2)", "--genus", "0")
-        assert code == 2
-        assert err == "error: STARFACT_THREADS must be a positive integer, got 'zero'\n"
+        assert run(capsys, *argv) == base
+        assert base[0] == 0
+        assert "threads" not in json.loads(base[1])["config"]
 
     def test_runs_are_byte_identical(self, capsys):
         first = run(capsys, "verify", "--suite", "theorem-1.1", "--n", "4")

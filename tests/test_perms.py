@@ -7,21 +7,18 @@ from hypothesis import strategies as st
 from starfact import Partition, Permutation, TotalOrder, Transposition, partitions_of
 from starfact.perms import (
     DegreeMismatchError,
-    JoinCut,
     all_transpositions,
     class_representative,
     class_size,
     conjugacy_classes,
     conjugating_permutation,
-    join_cut,
     order_from_conjugator,
     orbits,
-    simple_reflection_decomposition,
     sort_swaps,
     symmetric_group,
 )
 
-from oracles import spans_all
+from oracles import JoinCut, join_cut, spans_all
 
 
 def perm(text, n=None):
@@ -229,7 +226,7 @@ class TestDecompositions:
         for seq in iterperm(range(1, 5)):
             target = TotalOrder(seq)
             order = TotalOrder.natural(4)
-            for j in simple_reflection_decomposition(target):
+            for j in reversed(sort_swaps(target)):
                 order = order.swapped(j)
             assert order == target
 
