@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from itertools import combinations, product
 
-from .factorisations import _coding, _walk
+from .factorisations import _coding, _join, _walk
 from .perms import Partition, Permutation, conjugacy_classes, partitions_of
 
 
@@ -388,8 +388,7 @@ def _transitive_moves(slots: tuple[int, ...], aux):
     pos, blocks = aux
     j = slots[pos]
     for i in range(1, j):
-        lo, hi = sorted((blocks[i - 1], blocks[j - 1]))
-        yield (i, j), (pos + 1, tuple(lo if x == hi else x for x in blocks))
+        yield (i, j), (pos + 1, _join(blocks, i, j))
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)

@@ -291,10 +291,6 @@ def parse_expression(text: str):
     return _ExprParser(text).parse()
 
 
-def evaluate_expression(text: str, n: int) -> AlgebraElement:
-    return _concrete(parse_expression(text), n)
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -321,7 +317,7 @@ _DP_N_CAP = 6
 _DP_G_CAP = 8
 _LIST_N_CAP = 5
 _LIST_G_CAP = 2
-_DH_N_CAP = 5
+_DH_N_CAP = 7
 _DH_G_CAP = 1
 
 

@@ -17,11 +17,11 @@ Counting and listing are deliberately separate code paths: listers do a
 pruned depth-first search and return fully validated records; counters
 share one layered walk over (prefix product, aux), where the product is its
 rank in S_n, moved by a per-degree table act[(a, b)][rank], and aux is the
-covered-leg bitmask (star), 0 (unconstrained star) or the least order rank
-of the next factor (monotone, monotone double).  The transitive part of a
-Jucys-Murphy monomial in ``algebra`` runs on the same walk, with aux
-(slot position, connectivity blocks).  One cache keeps the
-``_WALK_CACHE_SIZE`` most recently used walks.
+covered-leg bitmask (star), 0 (unconstrained star), the least order rank
+of the next factor (monotone, monotone double) or the orbit block labels
+(double Hurwitz).  The transitive part of a Jucys-Murphy monomial in
+``algebra`` runs on the same walk, with aux (slot position, block labels).
+One cache keeps the ``_WALK_CACHE_SIZE`` most recently used walks.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .perms import (
     all_transpositions,
     class_representative,
     class_size,
-    conjugacy_classes,
     orbits,
     symmetric_group,
 )
@@ -276,7 +275,7 @@ def _cycle_count(images: tuple[int, ...]) -> int:
     return c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def full_cycles(n: int) -> tuple[Permutation, ...]:
     """All n-cycles of S_n, in lexicographic image order."""
     return tuple(p for p in symmetric_group(n) if p.cycle_count == 1)
@@ -309,6 +308,13 @@ def _rank(p: Permutation) -> int:
     return _coding(p.n)[0][bytes(p.images)]
 
 
+def _join(blocks: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """Block labels after joining the blocks of symbols a and b, where each
+    symbol's label is the least (0-based) symbol of its block."""
+    lo, hi = sorted((blocks[a - 1], blocks[b - 1]))
+    return tuple(lo if x == hi else x for x in blocks)
+
+
 def _walk(n: int, key: tuple, start, moves, steps: int, start_aux=0) -> dict:
     """Layer ``steps`` of the walk ``key`` on S_n: aux -> {prefix rank: walks}.
 
@@ -316,7 +322,8 @@ def _walk(n: int, key: tuple, start, moves, steps: int, start_aux=0) -> dict:
     from aux ``x`` it may multiply by (a, b) and take aux ``y`` for each
     ((a, b), y) in ``moves(x)``.  Layers are built on demand and kept with
     the walk.  Callers: the star, unconstrained star, monotone and monotone
-    double counters here, which start at aux 0, and
+    double counters here, which start at aux 0; the double Hurwitz counter,
+    which starts at the cycles of a class representative as blocks; and
     ``algebra._transitive_monomial``, which starts at (0, singleton blocks).
     """
     entry = _WALKS.pop((n, key), None)
@@ -570,80 +577,36 @@ def strictly_monotone_factorisation(target: Permutation) -> tuple[Transposition,
 # double Hurwitz tuples
 
 
-def count_double_hurwitz(
-    n: int, alpha: Partition, beta: Partition, genus: int, *, symmetry: bool = True
-) -> int:
+def _double_hurwitz_moves(blocks: tuple[int, ...]):
+    """Moves of a double Hurwitz walk: every transposition, joining the
+    blocks of its two symbols in the aux."""
+    for a, b in combinations(range(1, len(blocks) + 1), 2):
+        yield (a, b), _join(blocks, a, b)
+
+
+def count_double_hurwitz(n: int, alpha: Partition, beta: Partition, genus: int) -> int:
     """Number of (sigma, tau_1, ..., tau_m) with sigma of type ``alpha``, the
     product of type ``beta``, m = len(alpha) + len(beta) - 2 + 2g, and the
     whole tuple acting transitively.
 
     Tuple sets for conjugate choices of sigma are in product- and
-    transitivity-preserving bijection, so by default one representative is
-    enumerated and scaled by the class size; ``symmetry=False`` loops over
-    the entire class instead.
+    transitivity-preserving bijection, so the walk starts at one
+    representative, with its cycles as the blocks, and the count is scaled
+    by the class size.
     """
     if alpha.n != n or beta.n != n:
         raise ValueError("alpha and beta must be partitions of n")
     if genus < 0:
         return 0
     m = alpha.length + beta.length - 2 + 2 * genus
-    if symmetry:
-        sigmas = [class_representative(alpha)]
-        scale = class_size(n, alpha)
-    else:
-        sigmas = list(conjugacy_classes(n)[alpha])
-        scale = 1
-    # a full-cycle sigma already acts transitively on its own
-    check_orbits = alpha != Partition((n,))
-    target_len = beta.length
-    total = 0
-    for sigma in sigmas:
-        total += _count_dh_from(sigma, m, beta, target_len, check_orbits)
-    return total * scale
-
-
-def _count_dh_from(
-    sigma: Permutation, m: int, beta: Partition, target_len: int, check_orbits: bool
-) -> int:
-    n = sigma.n
-    trans = all_transpositions(n)
-    count = 0
-    images = list(sigma.images)
-    path: list[Transposition] = []
-
-    def rec(depth: int) -> None:
-        nonlocal count
-        rem = m - depth
-        gap = abs(_cycle_count(tuple(images)) - target_len)
-        if gap > rem or (rem - gap) % 2:
-            return
-        if depth == m:
-            if Permutation(images).cycle_type() != beta:
-                return
-            if check_orbits and not orbits(
-                [sigma] + [t.as_permutation(n) for t in path], n
-            ).is_transitive:
-                return
-            count += 1
-            return
-        for t in trans:
-            a, b = t.a, t.b
-            for i, v in enumerate(images):
-                if v == a:
-                    images[i] = b
-                elif v == b:
-                    images[i] = a
-            path.append(t)
-            rec(depth + 1)
-            path.pop()
-            for i, v in enumerate(images):
-                if v == a:
-                    images[i] = b
-                elif v == b:
-                    images[i] = a
-
-    rec(0)
-    return count
+    sigma = class_representative(alpha)
+    least = {s: cyc[0] - 1 for cyc in sigma.cycles() for s in cyc}
+    layer = _walk(n, ("double-hurwitz", alpha), (sigma,), _double_hurwitz_moves, m,
+                  start_aux=tuple(least[s] for s in range(1, n + 1)))
+    perms = list(_coding(n)[0])
+    total = sum(c for r, c in layer.get((0,) * n, {}).items()
+                if Permutation(perms[r]).cycle_type() == beta)
+    return total * class_size(n, alpha)
 
 
 def b_number(n: int, beta: Partition, genus: int) -> int:

@@ -171,9 +171,6 @@ class Permutation:
     def apply(self, s: int) -> int:
         return self.images[s - 1]
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles (fixed points included), each starting at its smallest
         symbol, sorted by that symbol."""
@@ -328,12 +325,6 @@ class Transposition:
             return self.a
         raise ValueError(f"{s} not in {self}")
 
-    def display(self, order: "TotalOrder") -> tuple[int, int]:
-        """The pair as (smaller, larger) under ``order``."""
-        if order.rank(self.a) < order.rank(self.b):
-            return (self.a, self.b)
-        return (self.b, self.a)
-
     def as_permutation(self, n: int) -> Permutation:
         return Permutation.transposition(n, self.a, self.b)
 
@@ -383,9 +374,6 @@ class TotalOrder:
 
     def rank(self, s: int) -> int:
         return self._rank[s]
-
-    def precedes(self, a: int, b: int) -> bool:
-        return self._rank[a] < self._rank[b]
 
     def larger_of(self, t: Transposition) -> int:
         return t.b if self._rank[t.a] < self._rank[t.b] else t.a
@@ -456,15 +444,6 @@ class OrbitPartition:
     @property
     def is_transitive(self) -> bool:
         return len(self.blocks) == 1
-
-    def block_of(self, s: int) -> frozenset[int]:
-        for blk in self.blocks:
-            if s in blk:
-                return blk
-        raise ValueError(f"{s} outside [{self.n}]")
-
-    def sorted_blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(tuple(sorted(b)) for b in self.blocks))
 
 
 def orbits(generators, n: int | None = None) -> OrbitPartition:

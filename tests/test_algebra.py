@@ -28,7 +28,14 @@ from starfact.algebra import (
     verify_corollary_1_6,
     verify_elementary_class_sums,
 )
-from starfact.factorisations import _WALK_CACHE_SIZE, _WALKS, count_star, star_length
+from starfact.factorisations import (
+    _WALK_CACHE_SIZE,
+    _WALKS,
+    count_double_hurwitz,
+    count_monotone_double,
+    count_star,
+    star_length,
+)
 from starfact.perms import class_representative, conjugacy_classes, symmetric_group
 
 from oracles import jm_power_table
@@ -237,8 +244,17 @@ class TestTransitivityOperator:
     def test_caches_stay_bounded(self):
         _transitive_monomial.cache_clear()
         sweep = list(monomials(5, 5))
-        for n, exps in sweep:
+        first = {}
+        for i, (n, exps) in enumerate(sweep):
             _transitive_monomial(n, exps)
+            # counting and double Hurwitz walks share the cache with these
+            lam = partitions_of(n)[i % len(partitions_of(n))]
+            counts = (
+                count_star(class_representative(lam), 1, n),
+                count_monotone_double(class_representative(lam), 0),
+                count_double_hurwitz(n, lam, Partition((n,)), 1),
+            )
+            assert first.setdefault(lam, counts) == counts, lam
             assert len(_WALKS) <= _WALK_CACHE_SIZE
         info = _transitive_monomial.cache_info()
         assert info.misses == info.currsize == len(sweep)

@@ -238,10 +238,10 @@ class TestVerify:
         assert out.splitlines()[-1].startswith("suite corollary-1.6: PASS")
 
     def test_bound_refusal(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "relation-6.4", "--n", "4")
+        code, _, err = run(capsys, "verify", "--suite", "relation-6.4", "--n", "6")
         assert code == 2
         assert err == (
-            "error: bound exceeded for suite relation-6.4: n <= 3 (got n=4); "
+            "error: bound exceeded for suite relation-6.4: n <= 5 (got n=6); "
             "pass --unsafe-bounds to override\n"
         )
 

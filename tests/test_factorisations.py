@@ -457,20 +457,12 @@ class TestDoubleHurwitz:
         # two full cycles, each with three two-step factorisations of its inverse
         assert count_double_hurwitz(3, Partition((3,)), Partition((1, 1, 1)), 0) == 6
 
-    def test_symmetry_shortcut_agrees_with_full_loop(self):
-        for n, partitions in ((2, partitions_of(2)), (3, partitions_of(3))):
-            for alpha in partitions:
-                for beta in partitions:
-                    for genus in (0, 1):
-                        fast = count_double_hurwitz(n, alpha, beta, genus)
-                        slow = count_double_hurwitz(n, alpha, beta, genus, symmetry=False)
-                        assert fast == slow, (alpha, beta, genus)
-
-    def test_counts_match_naive_oracle_in_s3(self):
-        for alpha in partitions_of(3):
-            for beta in partitions_of(3):
-                expected = double_hurwitz_count(3, alpha, beta, 0)
-                assert count_double_hurwitz(3, alpha, beta, 0) == expected
+    @pytest.mark.parametrize("n, genus", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0)])
+    def test_counts_match_naive_oracle(self, n, genus):
+        for alpha in partitions_of(n):
+            for beta in partitions_of(n):
+                expected = double_hurwitz_count(n, alpha, beta, genus)
+                assert count_double_hurwitz(n, alpha, beta, genus) == expected, (alpha, beta)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
