@@ -454,22 +454,9 @@ def transitive_power(n: int, t: int, method: str = "dp") -> AlgebraElement:
     coefficients count transitive star factorisations rooted at n."""
     if t < 0:
         raise ValueError("negative power")
-    exps = [0] * (n - 1)
-    if n >= 2:
-        exps[n - 2] = t
-    elif t:
-        return AlgebraElement.zero(n)
-    return transitive_evaluate(_fixed_monomial(tuple(exps)), n, method=method)
-
-
-class _fixed_monomial(SymExpr):
-    def __init__(self, exps: tuple[int, ...]) -> None:
-        self.exps = exps
-
-    def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        if len(self.exps) != n - 1:
-            raise ValueError("exponent tuple has wrong width")
-        return {self.exps: 1}
+    if n == 1:
+        return transitive_evaluate(e(), n, method=method) if t == 0 else AlgebraElement.zero(n)
+    return transitive_evaluate(jm_var(n) ** t, n, method=method)
 
 
 def verify_elementary_class_sums(n: int, k: int) -> bool:

@@ -18,6 +18,13 @@ Built from these:
 * ``centrality_witness``  maps star factorisations of a target to star
                       factorisations of any conjugate target.
 
+The maps share one rewrite core on plain lists of factors: ``_swap`` and
+``_unswap`` (one adjacent order swap and its inverse), ``_to_natural`` and
+``_from_natural`` (swaps composed along ``sort_swaps``), ``_cycle_form``
+and ``_star_legs`` (star legs to and from the cycle form) and
+``_transport`` (conjugation).  No record is built inside the core; each
+public map builds and validates the one record it returns, at the end.
+
 Every function takes an optional ``trace`` list and appends one
 :class:`TraceStep` per elementary move, so each rewrite is replayable.
 """
@@ -99,7 +106,165 @@ def replay(factors: Sequence[Transposition], steps: Iterable[TraceStep]) -> tupl
 
 
 # ---------------------------------------------------------------------------
+# the rewrite core: plain factor lists, no records
+
+
+def _larger(rank: list[int], t: Transposition) -> int:
+    return t.b if rank[t.a] < rank[t.b] else t.a
+
+
+def _swap(facs: list, seq: list[int], rank: list[int], j: int, trace: list | None) -> None:
+    """The two stages of :func:`lambda_j` on a factor list monotone for the
+    order ``seq`` (``rank`` is its inverse, indexed by symbol); both then
+    describe the order with positions j, j+1 exchanged."""
+    ij, ij1 = seq[j - 1], seq[j]
+    special = Transposition(ij, ij1)
+
+    movers = [idx for idx, t in enumerate(facs) if _larger(rank, t) == ij]
+    for k in reversed(movers):
+        while k + 1 < len(facs) and _larger(rank, facs[k + 1]) == ij1:
+            _apply(facs, k, "RHM", trace)
+            k += 1
+
+    specials = [idx for idx, t in enumerate(facs) if t == special]
+    for k in reversed(specials):
+        while k + 1 < len(facs) and facs[k + 1] != special and _larger(rank, facs[k + 1]) == ij1:
+            _apply(facs, k, "S2", trace)
+            k += 1
+
+    seq[j - 1], seq[j] = ij1, ij
+    rank[ij], rank[ij1] = rank[ij1], rank[ij]
+
+
+def _unswap(facs: list, seq: list[int], rank: list[int], j: int, trace: list | None) -> None:
+    """Undo :func:`_swap`: ``facs`` is monotone for ``seq``, and afterwards
+    for ``seq`` with positions j, j+1 exchanged back."""
+    ij, ij1 = seq[j], seq[j - 1]
+    seq[j - 1], seq[j] = ij, ij1
+    rank[ij], rank[ij1] = rank[ij1], rank[ij]
+    special = Transposition(ij, ij1)
+
+    # undo stage 2: leftmost swapped-pair occurrence first, move left past
+    # its own restored block
+    specials = [idx for idx, t in enumerate(facs) if t == special]
+    for k in specials:
+        while k - 1 >= 0 and facs[k - 1] != special and _larger(rank, facs[k - 1]) == ij:
+            _apply(facs, k - 1, "LHM", trace)
+            k -= 1
+
+    # undo stage 1: factors whose source-order larger symbol is the j-th
+    # element, leftmost first, move left past the (j+1)-st block
+    movers = [idx for idx, t in enumerate(facs) if _larger(rank, t) == ij]
+    for k in movers:
+        while k - 1 >= 0 and _larger(rank, facs[k - 1]) == ij1:
+            _apply(facs, k - 1, "LHM", trace)
+            k -= 1
+
+
+def _order_lists(order: TotalOrder) -> tuple[list[int], list[int]]:
+    return list(order.sequence), [0] + [order.rank(s) for s in range(1, order.n + 1)]
+
+
+def _to_natural(facs: list, order: TotalOrder, trace: list | None) -> None:
+    """Rewrite ``facs`` from ``order``-monotone to natural-monotone by one
+    :func:`_swap` per step of the bubble sort of ``order``."""
+    seq, rank = _order_lists(order)
+    for j in sort_swaps(order):
+        _swap(facs, seq, rank, j, trace)
+
+
+def _from_natural(facs: list, order: TotalOrder, trace: list | None) -> None:
+    """Inverse of :func:`_to_natural`."""
+    seq, rank = _order_lists(TotalOrder.natural(order.n))
+    for j in reversed(sort_swaps(order)):
+        _unswap(facs, seq, rank, j, trace)
+    if tuple(seq) != order.sequence:
+        raise AssertionError("swap composition did not reach the requested order")
+
+
+def _transport(d: Permutation, perm: Permutation, tail, trace: list | None):
+    """Relabel ``perm`` and a natural-monotone tail by d^{-1}; the tail is
+    then monotone for ``order_from_conjugator(d)`` and is rewritten
+    natural-monotone."""
+    dinv = d.inverse()
+    facs = [t.relabel(dinv) for t in tail]
+    _to_natural(facs, order_from_conjugator(d), trace)
+    return perm.relabel(dinv), facs
+
+
+def _cycle_form(n: int, root: int, legs, trace: list | None) -> tuple[Permutation, list]:
+    """Star legs (any root) to (full cycle, natural-monotone tail).
+
+    Mark the first appearance of each leg symbol; left-hand-move each marked
+    factor leftward until it rests beside the previously marked one.  The
+    marked prefix multiplies to the full cycle of first appearances ending
+    at the root; the remainder is monotone for that first-appearance order
+    and is rewritten natural-monotone, with trace positions relative to it.
+    """
+    facs = [Transposition(a, root) for a in legs]
+    marks: list[int | None] = [None] * len(facs)
+    first_appearance: list[int] = []
+    for idx, a in enumerate(legs):
+        if a not in first_appearance:
+            first_appearance.append(a)
+            marks[idx] = len(first_appearance)
+
+    for p in range(2, n):
+        k = marks.index(p)
+        while marks[k - 1] != p - 1:
+            _apply(facs, k - 1, "LHM", trace)
+            marks[k - 1], marks[k] = marks[k], marks[k - 1]
+            k -= 1
+    if marks[: n - 1] != list(range(1, n)):
+        raise AssertionError("marked factors not in prefix")
+
+    sequence = tuple(first_appearance) + (root,)
+    tail = facs[n - 1 :]
+    _to_natural(tail, TotalOrder(sequence), trace)
+    return Permutation.from_cycles(n, [sequence]), tail
+
+
+def _star_legs(n: int, sigma: Permutation, tail, root: int, trace: list | None) -> tuple[int, ...]:
+    """Inverse construction: rotate the cycle to end at ``root``, rewrite the
+    tail monotone for the rotated order, expand the cycle into marked
+    factors, and right-hand-move each back into star position."""
+    if not 1 <= root <= n:
+        raise ValueError(f"root {root} outside [{n}]")
+    cyc = sigma.cycles()[0]
+    pos = cyc.index(root)
+    sequence = cyc[pos + 1 :] + cyc[: pos + 1]
+    rest = list(tail)
+    _from_natural(rest, TotalOrder(sequence), trace)
+
+    facs = [Transposition(i, root) for i in sequence[:-1]] + rest
+    for p in range(n - 1, 0, -1):
+        k = p - 1
+        while k + 1 < len(facs) and root not in facs[k + 1]:
+            _apply(facs, k, "RHM", trace)
+            k += 1
+    if not all(root in t for t in facs):
+        raise AssertionError("push-back left a non-star factor")
+    return tuple(t.other(root) for t in facs)
+
+
+def _star(n: int, root: int, legs, target: Permutation, genus: int) -> StarFactorisation:
+    out = StarFactorisation.from_legs(n, root, legs, target)
+    if out.genus != genus:
+        raise AssertionError(f"rebuilt star factorisation has genus {out.genus}, not {genus}")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # adjacent order swaps
+
+
+def _adjacent(f: MonotoneFactorisation, j: int, stage, trace: list | None) -> MonotoneFactorisation:
+    if not 1 <= j <= f.n - 1:
+        raise ValueError(f"swap position {j} outside [1, {f.n - 1}]")
+    facs = list(f.factors)
+    seq, rank = _order_lists(f.order)
+    stage(facs, seq, rank, j, trace)
+    return MonotoneFactorisation(f.n, TotalOrder(seq), tuple(facs), f.target, f.genus)
 
 
 def lambda_j(
@@ -115,70 +280,14 @@ def lambda_j(
     right-hand-moves it past the remaining factors of the (j+1)-st block;
     those moves are recorded as "S2".
     """
-    order = f.order
-    n = f.n
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"swap position {j} outside [1, {n - 1}]")
-    ij, ij1 = order.sequence[j - 1], order.sequence[j]
-    special = Transposition(ij, ij1)
-    facs = list(f.factors)
-
-    movers = [idx for idx, t in enumerate(facs) if order.larger_of(t) == ij]
-    for idx in reversed(movers):
-        k = idx
-        while k + 1 < len(facs) and order.larger_of(facs[k + 1]) == ij1:
-            _apply(facs, k, "RHM", trace)
-            k += 1
-
-    specials = [idx for idx, t in enumerate(facs) if t == special]
-    for idx in reversed(specials):
-        k = idx
-        while (
-            k + 1 < len(facs)
-            and facs[k + 1] != special
-            and order.larger_of(facs[k + 1]) == ij1
-        ):
-            _apply(facs, k, "S2", trace)
-            k += 1
-
-    return MonotoneFactorisation(n, order.swapped(j), tuple(facs), f.target, f.genus)
+    return _adjacent(f, j, _swap, trace)
 
 
 def lambda_j_inverse(
     f: MonotoneFactorisation, j: int, trace: list | None = None
 ) -> MonotoneFactorisation:
     """The unique ``h`` monotone for the swapped order with lambda_j(h, j) == f."""
-    n = f.n
-    if not 1 <= j <= n - 1:
-        raise ValueError(f"swap position {j} outside [1, {n - 1}]")
-    source_order = f.order.swapped(j)
-    ij, ij1 = source_order.sequence[j - 1], source_order.sequence[j]
-    special = Transposition(ij, ij1)
-    facs = list(f.factors)
-
-    # undo stage 2: leftmost swapped-pair occurrence first, move left past
-    # its own restored block
-    specials = [idx for idx, t in enumerate(facs) if t == special]
-    for idx in specials:
-        k = idx
-        while (
-            k - 1 >= 0
-            and facs[k - 1] != special
-            and source_order.larger_of(facs[k - 1]) == ij
-        ):
-            _apply(facs, k - 1, "LHM", trace)
-            k -= 1
-
-    # undo stage 1: factors whose source-order larger symbol is the j-th
-    # element, leftmost first, move left past the (j+1)-st block
-    movers = [idx for idx, t in enumerate(facs) if source_order.larger_of(t) == ij]
-    for idx in movers:
-        k = idx
-        while k - 1 >= 0 and source_order.larger_of(facs[k - 1]) == ij1:
-            _apply(facs, k - 1, "LHM", trace)
-            k -= 1
-
-    return MonotoneFactorisation(n, source_order, tuple(facs), f.target, f.genus)
+    return _adjacent(f, j, _unswap, trace)
 
 
 def lambda_order(
@@ -186,9 +295,9 @@ def lambda_order(
 ) -> MonotoneFactorisation:
     """Rewrite an order-monotone factorisation as a natural-monotone one by
     composing adjacent swaps along a bubble sort of the order."""
-    for j in sort_swaps(f.order):
-        f = lambda_j(f, j, trace)
-    return f
+    facs = list(f.factors)
+    _to_natural(facs, f.order, trace)
+    return MonotoneFactorisation(f.n, TotalOrder.natural(f.n), tuple(facs), f.target, f.genus)
 
 
 def lambda_order_inverse(
@@ -197,11 +306,11 @@ def lambda_order_inverse(
     """Inverse of :func:`lambda_order` toward the given order."""
     if not f.order.is_natural:
         raise ValueError("input must be natural-monotone")
-    for j in reversed(sort_swaps(order)):
-        f = lambda_j_inverse(f, j, trace)
-    if f.order != order:
-        raise AssertionError("swap composition did not reach the requested order")
-    return f
+    if order.n != f.n:
+        raise ValueError("order degree differs from n")
+    facs = list(f.factors)
+    _from_natural(facs, order, trace)
+    return MonotoneFactorisation(f.n, order, tuple(facs), f.target, f.genus)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +326,8 @@ def delta(
         raise ValueError("input must be natural-monotone")
     if d.n != f.n:
         raise ValueError("conjugator degree differs from n")
-    dinv = d.inverse()
-    relabelled = tuple(t.relabel(dinv) for t in f.factors)
-    new_target = f.target.relabel(dinv)
-    order = order_from_conjugator(d)
-    mono = MonotoneFactorisation(f.n, order, relabelled, new_target, f.genus)
-    return lambda_order(mono, trace)
+    target, facs = _transport(d, f.target, f.factors, trace)
+    return MonotoneFactorisation(f.n, f.order, tuple(facs), target, f.genus)
 
 
 def theta(
@@ -230,118 +335,36 @@ def theta(
 ) -> MonotoneDoubleFactorisation:
     """Carry a (full cycle, monotone tail) factorisation to one of the
     conjugated target, preserving genus."""
-    n = md.n
-    if d.n != n:
+    if d.n != md.n:
         raise ValueError("conjugator degree differs from n")
-    dinv = d.inverse()
-    sigma = md.sigma.relabel(dinv)
-    tail = tuple(t.relabel(dinv) for t in md.factors)
-    new_target = md.target.relabel(dinv)
-    order = order_from_conjugator(d)
-    rest = sigma.inverse() * new_target
-    g2 = (len(tail) - (n - rest.cycle_count)) // 2
-    mono = MonotoneFactorisation(n, order, tail, rest, g2)
-    mono = lambda_order(mono, trace)
-    return MonotoneDoubleFactorisation(n, sigma, mono.factors, new_target, md.genus)
+    sigma, facs = _transport(d, md.sigma, md.factors, trace)
+    target = md.target.relabel(d.inverse())
+    return MonotoneDoubleFactorisation(md.n, sigma, tuple(facs), target, md.genus)
 
 
 # ---------------------------------------------------------------------------
 # star <-> (full cycle, monotone tail)
 
 
-def _apply_marked(facs: list, marks: list, k: int, move: str, trace: list | None) -> None:
-    _apply(facs, k, move, trace)
-    marks[k], marks[k + 1] = marks[k + 1], marks[k]
-
-
-def _gamma_rooted(f: StarFactorisation, trace: list | None = None) -> MonotoneDoubleFactorisation:
-    """Star factorisation (any root) to (full cycle, natural-monotone tail).
-
-    Mark the first appearance of each leg symbol; left-hand-move each marked
-    factor leftward until it rests beside the previously marked one.  The
-    marked prefix multiplies to the full cycle of first appearances ending
-    at the root; the remainder is monotone for that first-appearance order
-    and is rewritten natural-monotone.
-    """
-    n, root = f.n, f.root
-    facs = [Transposition(a, root) for a in f.legs]
-    marks: list[int | None] = [None] * len(facs)
-    first_appearance: list[int] = []
-    seen: set[int] = set()
-    for idx, a in enumerate(f.legs):
-        if a not in seen:
-            seen.add(a)
-            first_appearance.append(a)
-            marks[idx] = len(first_appearance)
-
-    for p in range(2, n):
-        k = marks.index(p)
-        while marks[k - 1] != p - 1:
-            _apply_marked(facs, marks, k - 1, "LHM", trace)
-            k -= 1
-    if marks[: n - 1] != list(range(1, n)):
-        raise AssertionError("marked factors not in prefix")
-
-    sequence = tuple(first_appearance) + (root,)
-    sigma = Permutation.from_cycles(n, [sequence])
-    order = TotalOrder(sequence)
-    tail = tuple(facs[n - 1 :])
-    rest = sigma.inverse() * f.target
-    g2 = (len(tail) - (n - rest.cycle_count)) // 2
-    mono = MonotoneFactorisation(n, order, tail, rest, g2)
-    mono = lambda_order(mono, trace)
-    return MonotoneDoubleFactorisation(n, sigma, mono.factors, f.target, f.genus)
-
-
-def _reconstruct_star(
-    md: MonotoneDoubleFactorisation, root: int, trace: list | None = None
-) -> StarFactorisation:
-    """Inverse construction: rotate the cycle to end at ``root``, rewrite the
-    tail monotone for the rotated order, expand the cycle into marked
-    factors, and right-hand-move each back into star position."""
-    n = md.n
-    if not 1 <= root <= n:
-        raise ValueError(f"root {root} outside [{n}]")
-    cyc = md.sigma.cycles()[0]
-    pos = cyc.index(root)
-    sequence = cyc[pos + 1 :] + cyc[: pos + 1]
-    order = TotalOrder(sequence)
-    rest = md.sigma.inverse() * md.target
-    g2 = (len(md.factors) - (n - rest.cycle_count)) // 2
-    natural = MonotoneFactorisation(n, TotalOrder.natural(n), md.factors, rest, g2)
-    mono = lambda_order_inverse(natural, order, trace)
-
-    facs = [Transposition(i, root) for i in sequence[:-1]] + list(mono.factors)
-    for p in range(n - 1, 0, -1):
-        k = p - 1
-        while k + 1 < len(facs) and root not in facs[k + 1]:
-            _apply(facs, k, "RHM", trace)
-            k += 1
-    if not all(root in t for t in facs):
-        raise AssertionError("push-back left a non-star factor")
-
-    legs = tuple(t.other(root) for t in facs)
-    out = StarFactorisation.from_legs(n, root, legs, md.target)
-    if out.genus != md.genus:
-        raise AssertionError(f"rebuilt star factorisation has genus {out.genus}, not {md.genus}")
-    return out
-
-
 def gamma(f: StarFactorisation, trace: list | None = None) -> MonotoneDoubleFactorisation:
-    """Star to (full cycle, monotone tail); inverse is :func:`gamma_inverse`
-    when the root is n."""
-    return _gamma_rooted(f, trace)
+    """Star (any root) to (full cycle, monotone tail); inverse is
+    :func:`gamma_inverse` when the root is n."""
+    sigma, tail = _cycle_form(f.n, f.root, f.legs, trace)
+    return MonotoneDoubleFactorisation(f.n, sigma, tuple(tail), f.target, f.genus)
 
 
 def gamma_inverse(
     md: MonotoneDoubleFactorisation, trace: list | None = None
 ) -> StarFactorisation:
-    return _reconstruct_star(md, md.n, trace)
+    n = md.n
+    return _star(n, n, _star_legs(n, md.sigma, md.factors, n, trace), md.target, md.genus)
 
 
 def reroot(f: StarFactorisation, root: int, trace: list | None = None) -> StarFactorisation:
     """The same-genus star factorisation of the same target with a new root."""
-    return _reconstruct_star(_gamma_rooted(f, trace), root, trace)
+    sigma, tail = _cycle_form(f.n, f.root, f.legs, trace)
+    legs = _star_legs(f.n, sigma, tail, root, trace)
+    return _star(f.n, root, legs, f.target, f.genus)
 
 
 def centrality_witness(
@@ -350,5 +373,7 @@ def centrality_witness(
     """Carry a star factorisation to one of any conjugate target with the
     same root and genus, through the cycle form and a conjugation."""
     d = conjugating_permutation(f.target, target)
-    md = theta(_gamma_rooted(f, trace), d, trace)
-    return _reconstruct_star(md, f.root, trace)
+    sigma, tail = _cycle_form(f.n, f.root, f.legs, trace)
+    sigma, tail = _transport(d, sigma, tail, trace)
+    legs = _star_legs(f.n, sigma, tail, f.root, trace)
+    return _star(f.n, f.root, legs, f.target.relabel(d.inverse()), f.genus)

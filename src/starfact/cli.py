@@ -898,7 +898,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--wmax", type=int)
     pv.set_defaults(func=cmd_verify)
 
-    pb = sub.add_parser("table", parents=common("csv", "markdown"),
+    pb = sub.add_parser("table", parents=common("csv"),
                         help="cross-method agreement table over classes")
     pb.add_argument("--nmax", type=int, default=4)
     pb.add_argument("--gmax", type=int, default=1)

@@ -11,10 +11,12 @@ Four families are covered.
   of length c - 1 + 2g (conditions H0/H1/H2).
 * Double Hurwitz tuples: a permutation from a fixed class followed by
   arbitrary transpositions, landing in a second class, generating a
-  transitive group (H3'').
+  transitive group (H3''); these are counted, not listed.
 
-Counting and listing are deliberately separate code paths: listers do a
-pruned depth-first search and return fully validated records; counters
+Counting and listing are deliberately separate code paths.  The listers
+share one pruned depth-first search, ``_list``, which carries the distance
+of the remaining product down the recursion and returns the found
+sequences; each is then built once into a validated record.  The counters
 share one layered walk over (prefix product, aux), where the product is its
 rank in S_n, moved by a per-degree table act[(a, b)][rank], and aux is the
 covered-leg bitmask (star), 0 (unconstrained star), the least order rank
@@ -40,7 +42,6 @@ from .perms import (
     all_transpositions,
     class_representative,
     class_size,
-    orbits,
     symmetric_group,
 )
 
@@ -231,48 +232,8 @@ class MonotoneDoubleFactorisation:
         }
 
 
-@dataclass(frozen=True)
-class DoubleHurwitzFactorisation:
-    """A class member followed by transpositions, transitive overall."""
-
-    n: int
-    sigma: Permutation
-    factors: tuple[Transposition, ...]
-    beta: Partition
-    genus: int
-
-    def __post_init__(self) -> None:
-        n = self.n
-        alpha = self.sigma.cycle_type()
-        m = len(self.factors)
-        if self.genus < 0 or m != alpha.length + self.beta.length - 2 + 2 * self.genus:
-            raise ConditionViolation(
-                "H1", f"length {m} != {alpha.length} + {self.beta.length} - 2 + 2*{self.genus}"
-            )
-        if (self.sigma * _product(n, self.factors)).cycle_type() != self.beta:
-            raise ConditionViolation("product", f"product does not land in class {self.beta}")
-        gens = [self.sigma] + [t.as_permutation(n) for t in self.factors]
-        if not orbits(gens, n).is_transitive:
-            raise ConditionViolation("H3''", "generated group is not transitive")
-
-
 # ---------------------------------------------------------------------------
 # small shared helpers
-
-
-def _cycle_count(images: tuple[int, ...]) -> int:
-    n = len(images)
-    seen = [False] * n
-    c = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        c += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x] - 1
-    return c
 
 
 @lru_cache(maxsize=2)
@@ -349,6 +310,51 @@ def _walk(n: int, key: tuple, start, moves, steps: int, start_aux=0) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the pruned listing behind every lister
+
+
+def _list(target: Permutation, length: int, moves, feasible=None) -> list[tuple]:
+    """Every sequence of ``length`` items whose transpositions multiply to
+    ``target``, by depth-first search, in the order ``moves`` offers them.
+
+    From aux ``x`` (0 at the start) the search may take each
+    (item, a, b, next aux) in ``moves(x)``; ``feasible(x, rem)``, when
+    given, prunes a node with ``rem`` factors still to place.  The search
+    keeps the images of prefix^{-1} * target and that product's distance
+    n - c from the identity, which the factor (a b) lowers by 1 when a and b
+    share one of its cycles and raises by 1 otherwise; a node is pruned
+    once the distance exceeds the factors left.  Each factor changes both
+    by one, so the parity of their difference is checked once, at the root.
+    Counting runs on ``_walk`` instead, so the two routes share no code.
+    """
+    n = target.n
+    remaining = list(target.images)
+    out: list[tuple] = []
+    path: list = []
+
+    def rec(rem: int, dist: int, aux) -> None:
+        if dist > rem or (feasible is not None and not feasible(aux, rem)):
+            return
+        if not rem:
+            out.append(tuple(path))
+            return
+        for item, a, b, nxt in moves(aux):
+            x = remaining[a - 1]
+            while x != a and x != b:
+                x = remaining[x - 1]
+            path.append(item)
+            remaining[a - 1], remaining[b - 1] = remaining[b - 1], remaining[a - 1]
+            rec(rem - 1, dist - 1 if x == b else dist + 1, nxt)
+            remaining[a - 1], remaining[b - 1] = remaining[b - 1], remaining[a - 1]
+            path.pop()
+
+    dist = n - target.cycle_count
+    if (length - dist) % 2 == 0:
+        rec(length, dist, 0)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # star factorisations
 
 
@@ -398,31 +404,20 @@ def enumerate_star(target: Permutation, genus: int, root: int) -> list[StarFacto
         raise ValueError(f"root {root} outside [{n}]")
     if genus < 0:
         return []
-    m = star_length(target, genus)
-    need = set(range(1, n + 1)) - {root}
-    out: list[StarFactorisation] = []
-    legs: list[int] = []
+    full = ((1 << n) - 1) & ~(1 << (root - 1))
+    legs = [a for a in range(1, n + 1) if a != root]
 
-    # remaining[x-1] = image of x under prefix^{-1} * target
-    remaining = list(target.images)
+    @lru_cache(maxsize=None)
+    def moves(mask: int) -> tuple:
+        return tuple((a, a, root, mask | 1 << (a - 1)) for a in legs)
 
-    def rec(depth: int, covered: frozenset) -> None:
-        rem = m - depth
-        dist = n - _cycle_count(tuple(remaining))
-        if dist > rem or (rem - dist) % 2 or len(need - covered) > rem:
-            return
-        if depth == m:
-            out.append(StarFactorisation(n, root, tuple(legs), target, genus))
-            return
-        for a in sorted(need):
-            legs.append(a)
-            remaining[a - 1], remaining[root - 1] = remaining[root - 1], remaining[a - 1]
-            rec(depth + 1, covered | {a})
-            remaining[a - 1], remaining[root - 1] = remaining[root - 1], remaining[a - 1]
-            legs.pop()
+    def feasible(mask: int, rem: int) -> bool:
+        return (full & ~mask).bit_count() <= rem
 
-    rec(0, frozenset())
-    return out
+    return [
+        StarFactorisation(n, root, found, target, genus)
+        for found in _list(target, star_length(target, genus), moves, feasible)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -470,42 +465,17 @@ def count_monotone_double(target: Permutation, genus: int) -> int:
     return sum(group.get(rank, 0) for group in layer.values())
 
 
-def _list_monotone_by_length(
-    target: Permutation, length: int, order: TotalOrder
-) -> list[tuple[Transposition, ...]]:
-    n = target.n
-    if length < 0:
-        return []
-    moves = []
-    for t in all_transpositions(n):
-        big = order.larger_of(t)
-        small = t.other(big)
-        moves.append((order.rank(big), order.rank(small), t))
-    moves.sort()
-    out: list[tuple[Transposition, ...]] = []
-    path: list[Transposition] = []
-    remaining = list(target.images)
-
-    def rec(depth: int, min_rank: int) -> None:
-        rem = length - depth
-        dist = n - _cycle_count(tuple(remaining))
-        if dist > rem or (rem - dist) % 2:
-            return
-        if depth == length:
-            out.append(tuple(path))
-            return
-        for rb, _, t in moves:
-            if rb < min_rank:
-                continue
-            a, b = t.a, t.b
-            path.append(t)
-            remaining[a - 1], remaining[b - 1] = remaining[b - 1], remaining[a - 1]
-            rec(depth + 1, rb)
-            remaining[a - 1], remaining[b - 1] = remaining[b - 1], remaining[a - 1]
-            path.pop()
-
-    rec(0, 0)
-    return out
+def _rank_sorted_moves(order: TotalOrder):
+    """Listing moves for factors monotone under ``order``: sorted by (rank of
+    larger symbol, rank of smaller), and from aux r only those whose larger
+    symbol has rank at least r, so listings come out rank-lexicographic."""
+    ranked = sorted(
+        (order.rank(order.larger_of(t)), order.rank(t.other(order.larger_of(t))), t)
+        for t in all_transpositions(order.n)
+    )
+    table = [tuple((t, t.a, t.b, big) for big, _, t in ranked if big >= least)
+             for least in range(order.n + 1)]
+    return table.__getitem__
 
 
 def enumerate_monotone(
@@ -517,10 +487,9 @@ def enumerate_monotone(
         order = TotalOrder.natural(n)
     if genus < 0:
         return []
-    m = monotone_length(target, genus)
     return [
         MonotoneFactorisation(n, order, facs, target, genus)
-        for facs in _list_monotone_by_length(target, m, order)
+        for facs in _list(target, monotone_length(target, genus), _rank_sorted_moves(order))
     ]
 
 
@@ -530,47 +499,12 @@ def enumerate_monotone_double(target: Permutation, genus: int) -> list[MonotoneD
     if genus < 0:
         return []
     k = target.cycle_count - 1 + 2 * genus
-    nat = TotalOrder.natural(n)
-    out = []
-    for sigma in full_cycles(n):
-        gam = sigma.inverse() * target
-        slack = k - (n - gam.cycle_count)
-        if slack < 0 or slack % 2:
-            continue
-        for facs in _list_monotone_by_length(gam, k, nat):
-            out.append(MonotoneDoubleFactorisation(n, sigma, facs, target, genus))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# strictly monotone factorisations
-
-
-def strictly_monotone_factorisation(target: Permutation) -> tuple[Transposition, ...]:
-    """The unique factorisation (j_1 i_1)...(j_k i_k) with j_t < i_t and
-    i_1 < i_2 < ... < i_k; its length is n - c and its factors span exactly
-    the non-singleton orbits of the target.
-
-    Peeling from the right: the last factor is (target(i), i) where i is the
-    largest moved symbol; right-multiplying by it removes i from the support.
-    """
-    n = target.n
-    facs: list[Transposition] = []
-    current = target
-    while True:
-        moved = [s for s in range(n, 0, -1) if current.apply(s) != s]
-        if not moved:
-            break
-        i = moved[0]
-        j = current.apply(i)
-        facs.append(Transposition(j, i))
-        current = current * Permutation.transposition(n, j, i)
-    facs.reverse()
-    if len(facs) != n - target.cycle_count:
-        raise AssertionError(f"{len(facs)} factors for {target}, expected n - c")
-    if orbits([t.as_permutation(n) for t in facs], n) != orbits([target], n):
-        raise AssertionError(f"factor supports do not span the orbits of {target}")
-    return tuple(facs)
+    moves = _rank_sorted_moves(TotalOrder.natural(n))
+    return [
+        MonotoneDoubleFactorisation(n, sigma, facs, target, genus)
+        for sigma in full_cycles(n)
+        for facs in _list(sigma.inverse() * target, k, moves)
+    ]
 
 
 # ---------------------------------------------------------------------------

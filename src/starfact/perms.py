@@ -1,4 +1,4 @@
-"""Permutations of {1..n}, integer partitions, total orders and orbits.
+"""Permutations of {1..n}, integer partitions, transpositions and total orders.
 
 Symbols are the integers 1..n throughout.  Products are read left to
 right: ``(p * q)(x) == q(p(x))``, i.e. apply ``p`` first, then ``q``.
@@ -428,51 +428,3 @@ def sort_swaps(order: TotalOrder) -> tuple[int, ...]:
                 swaps.append(j)
                 changed = True
     return tuple(swaps)
-
-
-# ---------------------------------------------------------------------------
-# orbits
-
-
-@dataclass(frozen=True)
-class OrbitPartition:
-    """The partition of {1..n} into orbits of a set of permutations."""
-
-    n: int
-    blocks: frozenset[frozenset[int]]
-
-    @property
-    def is_transitive(self) -> bool:
-        return len(self.blocks) == 1
-
-
-def orbits(generators, n: int | None = None) -> OrbitPartition:
-    """Orbits of {1..n} under the group the generators generate.
-
-    ``n`` may be omitted when there is at least one generator.
-    """
-    gens = list(generators)
-    if n is None:
-        if not gens:
-            raise ValueError("need n for an empty generating set")
-        n = gens[0].n
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        if g.n != n:
-            raise DegreeMismatchError(f"S_{g.n} generator in S_{n} orbit computation")
-        for s in range(1, n + 1):
-            ra, rb = find(s), find(g.apply(s))
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, set[int]] = {}
-    for s in range(1, n + 1):
-        groups.setdefault(find(s), set()).add(s)
-    return OrbitPartition(n, frozenset(frozenset(b) for b in groups.values()))
-

@@ -36,7 +36,7 @@ from starfact.factorisations import (
     count_star,
     star_length,
 )
-from starfact.perms import class_representative, conjugacy_classes, symmetric_group
+from starfact.perms import class_representative, symmetric_group
 
 from oracles import jm_power_table
 

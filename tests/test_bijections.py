@@ -32,6 +32,7 @@ from starfact.bijections import (
     theta,
 )
 from starfact.factorisations import (
+    MonotoneDoubleFactorisation,
     MonotoneFactorisation,
     StarFactorisation,
     enumerate_monotone,
@@ -224,6 +225,44 @@ class TestOrderChange:
         )
         with pytest.raises(ValueError, match="natural-monotone"):
             lambda_order_inverse(f, order)
+
+
+class TestValidatedOnce:
+    def test_each_map_builds_one_record(self, monkeypatch):
+        # the rewrites run on plain factor lists; only the returned record is
+        # built and validated, even across the six swaps of the reversed order
+        built = []
+        for cls in (StarFactorisation, MonotoneFactorisation, MonotoneDoubleFactorisation):
+            def counting(self, validate=cls.__post_init__):
+                built.append(self)
+                validate(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        reversed_order = TotalOrder.parse("4<3<2<1")
+        assert len(sort_swaps(reversed_order)) == 6
+        mono = enumerate_monotone(perm("(1 2 3 4)"), 1, reversed_order)[0]
+        nat = lambda_order(mono)
+        swapped = lambda_j(mono, 2)
+        star = enumerate_star(perm("(1 2)(3 4)"), 1, 4)[7]
+        md = gamma(star)
+        d = perm("(1 3 2 4)")
+        calls = [
+            lambda tr: lambda_order(mono, tr),
+            lambda tr: lambda_order_inverse(nat, reversed_order, tr),
+            lambda tr: lambda_j(mono, 2, tr),
+            lambda tr: lambda_j_inverse(swapped, 2, tr),
+            lambda tr: delta(nat, d, tr),
+            lambda tr: theta(md, d, tr),
+            lambda tr: gamma(star, tr),
+            lambda tr: gamma_inverse(md, tr),
+            lambda tr: reroot(star, 2, tr),
+            lambda tr: centrality_witness(star, perm("(1 3)(2 4)"), tr),
+        ]
+        for call in calls:
+            built.clear()
+            trace = []
+            out = call(trace)
+            assert trace and built == [out]
 
 
 class TestConjugationTransport:

@@ -308,6 +308,15 @@ class TestTable:
             "[1,1],0,1,1,1,1,yes\n"
         )
 
+    def test_markdown_format_is_refused(self, capsys):
+        # text already renders the markdown table, so there is no separate choice
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["table", "--nmax", "2", "--gmax", "0", "--format", "markdown"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --format: invalid choice: 'markdown'" in err
+
     def test_json_rows(self, capsys):
         code, out, _ = run(capsys, "table", "--n", "3", "--gmax", "1", "--format", "json")
         assert code == 0

@@ -12,7 +12,6 @@ import pytest
 from starfact import Partition, Permutation, TotalOrder, Transposition, partitions_of
 from starfact.factorisations import (
     ConditionViolation,
-    DoubleHurwitzFactorisation,
     MonotoneDoubleFactorisation,
     MonotoneFactorisation,
     StarFactorisation,
@@ -28,7 +27,6 @@ from starfact.factorisations import (
     full_cycles,
     monotone_length,
     star_length,
-    strictly_monotone_factorisation,
 )
 from starfact import factorisations
 from starfact.algebra import evaluate, h, jm_element
@@ -41,7 +39,6 @@ from starfact.perms import (
 from starfact.verify import order_panel
 
 from oracles import (
-    compose_all,
     double_hurwitz_count,
     monotone_double_tuples,
     monotone_tuples,
@@ -281,6 +278,20 @@ class TestMonotoneCounts:
         with pytest.raises(ValueError, match="order/target degree differs from n"):
             count_monotone(perm("(1 4)"), 0, TotalOrder.natural(3))
 
+    def test_listing_is_rank_lexicographic(self):
+        # each factor keys as (rank of larger symbol, rank of smaller) under
+        # the order; the listing is strictly increasing in those key tuples
+        for order in order_panel(4):
+            for target in symmetric_group(4):
+                for genus in (0, 1):
+                    keys = [
+                        tuple((order.rank(order.larger_of(t)),
+                               order.rank(t.other(order.larger_of(t)))) for t in f.factors)
+                        for f in enumerate_monotone(target, genus, order)
+                    ]
+                    assert all(x < y for x, y in zip(keys, keys[1:])), (order, target, genus)
+                    assert len(keys) == count_monotone(target, genus, order)
+
     @pytest.mark.parametrize("order", SMALL_ORDERS, ids=str)
     def test_counts_match_brute_force_in_s3(self, order):
         for target in symmetric_group(3):
@@ -400,37 +411,6 @@ class TestMonotoneDouble:
 
 
 class TestStrictlyMonotone:
-    def test_small_examples(self):
-        assert strictly_monotone_factorisation(perm("(1 2 3)")) == (
-            Transposition(1, 2),
-            Transposition(1, 3),
-        )
-        assert strictly_monotone_factorisation(Permutation.identity(3)) == ()
-        assert strictly_monotone_factorisation(perm("(1 2)", 2)) == (Transposition(1, 2),)
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_unique_by_exhaustion(self, n):
-        from itertools import combinations, product
-
-        trans = [Transposition(a, b) for a, b in combinations(range(1, n + 1), 2)]
-        for target in symmetric_group(n):
-            m = n - target.cycle_count
-            found = []
-            for combo in product(trans, repeat=m):
-                bs = [t.b for t in combo]
-                if any(x >= y for x, y in zip(bs, bs[1:])):
-                    continue
-                if compose_all(n, [t.as_permutation(n) for t in combo]) == target:
-                    found.append(combo)
-            assert found == [strictly_monotone_factorisation(target)]
-
-    def test_factor_supports_span_the_non_trivial_orbits(self):
-        w = perm("(1 3)(2 5 4)")
-        facs = strictly_monotone_factorisation(w)
-        symbols = {s for t in facs for s in (t.a, t.b)}
-        assert symbols == {1, 2, 3, 4, 5}
-        assert compose_all(5, [t.as_permutation(5) for t in facs]) == w
-
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_term_count_identity(self, n):
         # expanding the degree-k elementary sum gives one strictly monotone
@@ -470,44 +450,6 @@ class TestDoubleHurwitz:
 
     def test_negative_genus(self):
         assert count_double_hurwitz(3, Partition((3,)), Partition((3,)), -1) == 0
-
-    def test_record_conditions(self):
-        sigma = perm("(1 2 3)")
-        f = DoubleHurwitzFactorisation(
-            3, sigma, (Transposition(1, 2),), Partition((2, 1)), 0
-        )
-        assert f.beta == Partition((2, 1))
-        with pytest.raises(ConditionViolation) as exc:
-            DoubleHurwitzFactorisation(
-                3,
-                sigma,
-                (Transposition(1, 2), Transposition(1, 2)),
-                Partition((1, 1, 1)),
-                0,
-            )
-        assert str(exc.value) == "condition product violated: product does not land in class [1,1,1]"
-        with pytest.raises(ConditionViolation) as exc:
-            DoubleHurwitzFactorisation(3, sigma, (), Partition((2, 1)), 0)
-        assert str(exc.value) == "condition H1 violated: length 0 != 1 + 2 - 2 + 2*0"
-
-    def test_transitivity_condition(self):
-        sigma = perm("(1 2)(3)(4)")
-        # product lands in the right class but never touches symbol 4
-        with pytest.raises(ConditionViolation) as exc:
-            DoubleHurwitzFactorisation(
-                4,
-                sigma,
-                (
-                    Transposition(1, 2),
-                    Transposition(1, 3),
-                    Transposition(1, 3),
-                    Transposition(2, 3),
-                    Transposition(2, 3),
-                ),
-                Partition((1, 1, 1, 1)),
-                0,
-            )
-        assert str(exc.value) == "condition H3'' violated: generated group is not transitive"
 
     def test_b_number_scales_by_class_size(self):
         total = count_double_hurwitz(3, Partition((3,)), Partition((2, 1)), 0)

@@ -1,4 +1,4 @@
-"""Core permutation, partition, order and orbit machinery."""
+"""Core permutation, partition, transposition and order machinery."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +13,7 @@ from starfact.perms import (
     conjugacy_classes,
     conjugating_permutation,
     order_from_conjugator,
-    orbits,
     sort_swaps,
-    symmetric_group,
 )
 
 from oracles import JoinCut, join_cut, spans_all
@@ -167,36 +165,6 @@ class TestTotalOrder:
         order = order_from_conjugator(d)
         dinv = d.inverse()
         assert order.sequence == tuple(dinv.apply(i) for i in range(1, d.n + 1))
-
-
-class TestOrbits:
-    @given(st.integers(2, 5), st.data())
-    @settings(max_examples=60)
-    def test_transitivity_matches_union_find(self, n, data):
-        k = data.draw(st.integers(0, 4))
-        gens = [
-            Permutation(tuple(data.draw(st.permutations(list(range(1, n + 1))))))
-            for _ in range(k)
-        ]
-        got = orbits(gens, n).is_transitive
-        parent = list(range(n + 1))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for g in gens:
-            for cyc in g.cycles():
-                for x, y in zip(cyc, cyc[1:]):
-                    parent[find(x)] = find(y)
-        expected = len({find(s) for s in range(1, n + 1)}) == 1
-        assert got == expected
-
-    def test_star_generators_are_transitive(self):
-        n = 5
-        gens = [Permutation.transposition(n, i, n) for i in range(1, n)]
-        assert orbits(gens, n).is_transitive
 
 
 class TestJoinCut:
