@@ -171,15 +171,20 @@ def class_sum(n: int, lam: Partition) -> AlgebraElement:
     return AlgebraElement(n, {p.images: 1 for p in conjugacy_classes(n)[lam]})
 
 
-def format_class_decomposition(decomp: dict[Partition, int]) -> str:
-    """Render e.g. ``22*K[1,1,1,1] + 8*K[3,1] + 4*K[2,2]``: more parts
-    first, then lexicographically larger part lists first."""
-    if not decomp:
-        return "0"
-    ordered = sorted(
+def ordered_decomposition(decomp: dict[Partition, int]) -> list[tuple[Partition, int]]:
+    """Class-sum coefficients with more parts first, then lexicographically
+    larger part lists first."""
+    return sorted(
         decomp.items(), key=lambda kv: (-kv[0].length, tuple(-p for p in kv[0].parts))
     )
-    return " + ".join(f"{coeff}*K{lam}" for lam, coeff in ordered)
+
+
+def format_class_decomposition(decomp: dict[Partition, int]) -> str:
+    """Render e.g. ``22*K[1,1,1,1] + 8*K[3,1] + 4*K[2,2]``, in the order of
+    ``ordered_decomposition``."""
+    if not decomp:
+        return "0"
+    return " + ".join(f"{coeff}*K{lam}" for lam, coeff in ordered_decomposition(decomp))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +404,7 @@ def _transitive_monomial(n: int, exps: tuple[int, ...]) -> dict:
     slots = tuple(j for j, mult in enumerate(exps, 2) for _ in range(mult))
     layer = _walk(n, ("transitive", slots), (Permutation.identity(n),),
                   partial(_transitive_moves, slots), len(slots),
-                  start_aux=(0, tuple(range(n))))
+                  start_aux=(0, tuple(range(n))), keep=False)
     perms = list(_coding(n)[0])
     return {tuple(perms[r]): c for r, c in layer.get((len(slots), (0,) * n), {}).items()}
 
@@ -449,14 +454,14 @@ def transitive_evaluate(expr: SymExpr, n: int, method: str = "dp") -> AlgebraEle
     return AlgebraElement(n, total)
 
 
-def transitive_power(n: int, t: int, method: str = "dp") -> AlgebraElement:
+def transitive_power(n: int, t: int) -> AlgebraElement:
     """Transitive part of the t-th power of the top slot variable; its
     coefficients count transitive star factorisations rooted at n."""
     if t < 0:
         raise ValueError("negative power")
     if n == 1:
-        return transitive_evaluate(e(), n, method=method) if t == 0 else AlgebraElement.zero(n)
-    return transitive_evaluate(jm_var(n) ** t, n, method=method)
+        return transitive_evaluate(e(), n) if t == 0 else AlgebraElement.zero(n)
+    return transitive_evaluate(jm_var(n) ** t, n)
 
 
 def verify_elementary_class_sums(n: int, k: int) -> bool:

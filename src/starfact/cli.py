@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import re
 import sys
 
@@ -18,10 +19,12 @@ from .algebra import (
     NotCentralError,
     SymExpr,
     e,
+    evaluate,
     format_class_decomposition,
     h,
     jm_element,
     jm_var,
+    ordered_decomposition,
     p,
     transitive_evaluate,
 )
@@ -50,7 +53,7 @@ from .factorisations import (
     enumerate_monotone_double,
     enumerate_star,
 )
-from .formulas import agreement_row, feray_count, md_full_cycle, md_identity
+from .formulas import agreement_row, closed_form, feray_count
 from .perms import (
     Partition,
     Permutation,
@@ -243,47 +246,29 @@ class _ExprParser:
         return int(value)
 
 
-def _symbolic(node) -> SymExpr:
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _value(node, n: int, inside_t: bool = False) -> SymExpr | AlgebraElement:
+    """Value of a parse tree at degree n: an element of the group algebra
+    outside T(...) (where J[1] is the empty sum, zero), and a polynomial in
+    the slot variables inside it."""
     kind = node[0]
     if kind == "int":
-        return node[1] * e()
+        return node[1] * (e() if inside_t else AlgebraElement.one(n))
     if kind == "jm":
-        return jm_var(node[1])
+        return jm_var(node[1]) if inside_t else jm_element(n, node[1])
     if kind == "gen":
-        return {"e": e, "h": h, "p": p}[node[1]](*node[2])
-    if kind in ("+", "-", "*"):
-        left, right = _symbolic(node[1]), _symbolic(node[2])
-        return {"+": left + right, "-": left - right, "*": left * right}[kind]
+        poly = {"e": e, "h": h, "p": p}[node[1]](*node[2])
+        return poly if inside_t else evaluate(poly, n)
+    if kind in _BINARY:
+        return _BINARY[kind](_value(node[1], n, inside_t), _value(node[2], n, inside_t))
     if kind == "^":
-        return _symbolic(node[1]) ** node[2]
+        return _value(node[1], n, inside_t) ** node[2]
     if kind == "T":
-        raise UsageError("nested T(...) is not supported")
-    raise AssertionError(kind)
-
-
-def _concrete(node, n: int) -> AlgebraElement:
-    kind = node[0]
-    if kind == "int":
-        return node[1] * AlgebraElement.one(n)
-    if kind == "jm":
-        try:
-            return jm_element(n, node[1])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    if kind == "gen":
-        from .algebra import evaluate
-
-        return evaluate({"e": e, "h": h, "p": p}[node[1]](*node[2]), n)
-    if kind in ("+", "-", "*"):
-        left, right = _concrete(node[1], n), _concrete(node[2], n)
-        return {"+": left + right, "-": left - right, "*": left * right}[kind]
-    if kind == "^":
-        return _concrete(node[1], n) ** node[2]
-    if kind == "T":
-        try:
-            return transitive_evaluate(_symbolic(node[1]), n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        if inside_t:
+            raise UsageError("nested T(...) is not supported")
+        return transitive_evaluate(_value(node[1], n, True), n)
     raise AssertionError(kind)
 
 
@@ -320,111 +305,99 @@ _LIST_G_CAP = 2
 _DH_N_CAP = 7
 _DH_G_CAP = 1
 
+# method -> (n cap, genus cap, what the bound guards)
+_BOUNDS = {
+    "dp": (_DP_N_CAP, _DP_G_CAP, "DP counting"),
+    "listing": (_LIST_N_CAP, _LIST_G_CAP, "listing"),
+    "dh": (_DH_N_CAP, _DH_G_CAP, "double Hurwitz enumeration"),
+}
 
-def _resolve_target(args) -> tuple[Permutation, Partition | None]:
+# family -> (DP counter, lister, closed form): the counter and the lister
+# are called as (target, genus, *extra), the closed form as (class, genus)
+_FAMILIES = {
+    "star": (count_star, enumerate_star, feray_count),
+    "monotone": (count_monotone, enumerate_monotone, None),
+    "md": (count_monotone_double, enumerate_monotone_double, closed_form),
+}
+
+
+def _check_bounds(args, method: str, n: int, genus: int) -> None:
+    n_cap, g_cap, what = _BOUNDS[method]
+    _check_bound(args, "n", n, n_cap, what)
+    _check_bound(args, "genus", genus, g_cap, what)
+
+
+def _resolve_input(args) -> tuple[Permutation, Partition | None, int]:
+    """The target, its partition when one was given, and the checked genus."""
+    if args.genus < 0:
+        raise UsageError("genus must be nonnegative")
     if getattr(args, "partition", None):
         lam = _parse_partition(args.partition)
         if lam.n == 0:
             raise UsageError("partition must be nonempty")
-        return class_representative(lam), lam
+        return class_representative(lam), lam, args.genus
     if getattr(args, "target", None):
-        return _parse_permutation(args.target, args.n), None
+        return _parse_permutation(args.target, args.n), None, args.genus
     raise UsageError("one of --target or --partition is required")
 
 
-def _count_one(args, family: str, method: str, target: Permutation,
-               lam: Partition | None, genus: int, root: int | None,
-               order: TotalOrder | None) -> int:
-    n = target.n
-    if method == "dp":
-        _check_bound(args, "n", n, _DP_N_CAP, "DP counting")
-        _check_bound(args, "genus", genus, _DP_G_CAP, "DP counting")
-        if family == "star":
-            return count_star(target, genus, root)
-        if family == "monotone":
-            return count_monotone(target, genus, order)
-        return count_monotone_double(target, genus)
-    if method == "listing":
-        _check_bound(args, "n", n, _LIST_N_CAP, "listing")
-        _check_bound(args, "genus", genus, _LIST_G_CAP, "listing")
-        if family == "star":
-            return len(enumerate_star(target, genus, root))
-        if family == "monotone":
-            return len(enumerate_monotone(target, genus, order))
-        return len(enumerate_monotone_double(target, genus))
-    if method == "formula":
-        shape = lam if lam is not None else target.cycle_type()
-        if family == "star":
-            return feray_count(shape, genus)
-        if family == "md":
-            if shape == Partition((n,)) and n >= 2:
-                return md_full_cycle(n, genus)
-            if shape == Partition((1,) * n):
-                return md_identity(n, genus)
-            raise UsageError(f"no closed form for family md at class {shape}")
-        raise UsageError(f"no closed form for family {family}")
-    raise AssertionError(method)
-
-
-def cmd_count(args) -> int:
-    genus = args.genus
-    if genus < 0:
-        raise UsageError("genus must be nonnegative")
-    if args.family == "dh":
-        target, lam = _resolve_target(args)
-        beta = lam if lam is not None else target.cycle_type()
-        n = beta.n
-        _check_bound(args, "n", n, _DH_N_CAP, "double Hurwitz enumeration")
-        _check_bound(args, "genus", genus, _DH_G_CAP, "double Hurwitz enumeration")
-        value = b_number(n, beta, genus)
-        config = {"family": "dh", "partition": str(beta), "genus": genus}
-        results = [{"method": "listing", "count": value}]
-        lines = [f"family=dh partition={beta} genus={genus}",
-                 f"method=listing count={value}"]
-        _emit(args, "count", config, results, True, lines)
-        return 0
-
-    target, lam = _resolve_target(args)
-    n = target.n
-    root = None
-    order = None
-    config: dict = {"family": args.family}
-    head = [f"family={args.family}"]
-    if lam is not None:
-        config["partition"] = str(lam)
-        head.append(f"partition={lam}")
-    config["target"] = str(target)
-    head.append(f"target={target}")
+def _family_extra(args, n: int) -> tuple[dict, tuple]:
+    """Config entries and extra counter/lister arguments of the family: the
+    star root (default n), or the monotone order when one is given."""
     if args.family == "star":
         root = args.root if args.root is not None else n
         if not 1 <= root <= n:
             raise UsageError(f"root {root} outside [1, {n}]")
-        config["root"] = root
-        head.append(f"root={root}")
+        return {"root": root}, (root,)
     if args.family == "monotone" and args.order:
         order = _parse_order(args.order, n)
-        config["order"] = str(order)
-        head.append(f"order={order}")
-    config["genus"] = genus
-    head.append(f"genus={genus}")
+        return {"order": str(order)}, (order,)
+    return {}, ()
 
-    if args.method == "auto":
-        methods = ["dp"]
-        if lam is not None and args.family == "star":
-            methods.append("formula")
-        if lam is not None and args.family == "md" and (
-            lam == Partition((n,)) or lam == Partition((1,) * n)
-        ):
-            methods.append("formula")
+
+def _count_one(args, method: str, target: Permutation, lam: Partition | None,
+               genus: int, extra: tuple) -> int:
+    counter, lister, formula = _FAMILIES[args.family]
+    if method == "formula":
+        if formula is None:
+            raise UsageError(f"no closed form for family {args.family}")
+        shape = lam if lam is not None else target.cycle_type()
+        value = formula(shape, genus)
+        if value is None:
+            raise UsageError(f"no closed form for family {args.family} at class {shape}")
+        return value
+    _check_bounds(args, method, target.n, genus)
+    if method == "dp":
+        return counter(target, genus, *extra)
+    return len(lister(target, genus, *extra))
+
+
+def cmd_count(args) -> int:
+    target, lam, genus = _resolve_input(args)
+    if args.family == "dh":
+        beta = lam if lam is not None else target.cycle_type()
+        _check_bounds(args, "dh", beta.n, genus)
+        config = {"family": "dh", "partition": str(beta), "genus": genus}
+        results = [{"method": "listing", "count": b_number(beta.n, beta, genus)}]
     else:
-        methods = [args.method]
-
-    results = []
-    lines = [" ".join(head)]
-    for method in methods:
-        value = _count_one(args, args.family, method, target, lam, genus, root, order)
-        results.append({"method": method, "count": value})
-        lines.append(f"method={method} count={value}")
+        config = {"family": args.family}
+        if lam is not None:
+            config["partition"] = str(lam)
+        config["target"] = str(target)
+        family_config, extra = _family_extra(args, target.n)
+        config.update(family_config)
+        config["genus"] = genus
+        method = "dp" if args.method == "auto" else args.method
+        results = [{"method": method,
+                    "count": _count_one(args, method, target, lam, genus, extra)}]
+        # auto adds the formula wherever the class of a given partition has one
+        formula = _FAMILIES[args.family][2]
+        if args.method == "auto" and lam is not None and formula is not None:
+            value = formula(lam, genus)
+            if value is not None:
+                results.append({"method": "formula", "count": value})
+    lines = [" ".join(f"{key}={value}" for key, value in config.items())]
+    lines += [f"method={r['method']} count={r['count']}" for r in results]
     passed = len({r["count"] for r in results}) == 1
     if not passed:
         lines.append("methods disagree")
@@ -433,27 +406,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_list(args) -> int:
-    genus = args.genus
-    if genus < 0:
-        raise UsageError("genus must be nonnegative")
-    target, lam = _resolve_target(args)
-    n = target.n
-    _check_bound(args, "n", n, _LIST_N_CAP, "listing")
-    _check_bound(args, "genus", genus, _LIST_G_CAP, "listing")
+    target, _, genus = _resolve_input(args)
+    _check_bounds(args, "listing", target.n, genus)
     config: dict = {"family": args.family, "target": str(target), "genus": genus}
-    if args.family == "star":
-        root = args.root if args.root is not None else n
-        if not 1 <= root <= n:
-            raise UsageError(f"root {root} outside [1, {n}]")
-        config["root"] = root
-        items = enumerate_star(target, genus, root)
-    elif args.family == "monotone":
-        order = _parse_order(args.order, n) if args.order else None
-        if order is not None:
-            config["order"] = str(order)
-        items = enumerate_monotone(target, genus, order)
-    else:
-        items = enumerate_monotone_double(target, genus)
+    family_config, extra = _family_extra(args, target.n)
+    config.update(family_config)
+    items = _FAMILIES[args.family][1](target, genus, *extra)
     lines = [f.to_line() for f in items]
     lines.append(f"total={len(items)}")
     _emit(args, "list", config, [f.to_record() for f in items], True, lines)
@@ -514,13 +472,7 @@ def _md_input(args) -> MonotoneDoubleFactorisation:
         stated = _parse_permutation(args.target, n)
         if stated != target:
             raise UsageError(f"stated target {stated} differs from product {target}")
-    c = target.cycle_count
-    twice_g = len(tail) - (c - 1)
-    if twice_g < 0 or twice_g % 2:
-        raise ConditionViolation(
-            "H1", f"tail length {len(tail)} has no genus: {c} - 1 + 2g"
-        )
-    return MonotoneDoubleFactorisation(n, sigma, tail, target, twice_g // 2)
+    return MonotoneDoubleFactorisation.from_factors(n, sigma, tail, target)
 
 
 def _end_line(obj) -> str:
@@ -602,7 +554,7 @@ _ALGEBRA_T_N_CAP = 5
 def _contains_t(node) -> bool:
     if node[0] == "T":
         return True
-    if node[0] in ("+", "-", "*"):
+    if node[0] in _BINARY:
         return _contains_t(node[1]) or _contains_t(node[2])
     if node[0] == "^":
         return _contains_t(node[1])
@@ -614,10 +566,11 @@ def cmd_algebra(args) -> int:
     if n < 1:
         raise UsageError("--n must be positive")
     node = parse_expression(args.expr)
-    cap = _ALGEBRA_T_N_CAP if _contains_t(node) else _ALGEBRA_N_CAP
-    what = "transitive evaluation" if _contains_t(node) else "group algebra"
-    _check_bound(args, "n", n, cap, what)
-    element = _concrete(node, n)
+    if _contains_t(node):
+        _check_bound(args, "n", n, _ALGEBRA_T_N_CAP, "transitive evaluation")
+    else:
+        _check_bound(args, "n", n, _ALGEBRA_N_CAP, "group algebra")
+    element = _value(node, n)
     config = {"n": n, "expr": args.expr}
     try:
         decomp = element.decompose()
@@ -640,9 +593,7 @@ def cmd_algebra(args) -> int:
     results = [
         {
             "kind": "central",
-            "decomposition": {str(lam): c for lam, c in sorted(
-                decomp.items(), key=lambda kv: (-kv[0].length, tuple(-x for x in kv[0].parts))
-            )},
+            "decomposition": {str(lam): c for lam, c in ordered_decomposition(decomp)},
             "rendered": rendered,
         }
     ]

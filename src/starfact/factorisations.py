@@ -66,6 +66,15 @@ def _product(n: int, factors) -> Permutation:
     return Permutation(images)
 
 
+def _genus(condition: str, what: str, length: int, base: int, formula: str) -> int:
+    """The genus g with ``length == base + 2g``, where ``formula`` spells out
+    ``base``; a length with no such g violates ``condition``."""
+    twice_g = length - base
+    if twice_g < 0 or twice_g % 2:
+        raise ConditionViolation(condition, f"{what} {length} has no genus: {formula} + 2g")
+    return twice_g // 2
+
+
 # ---------------------------------------------------------------------------
 # records
 
@@ -112,12 +121,8 @@ class StarFactorisation:
             t = Transposition(min(missing), root)
             raise ConditionViolation("S2'", f"{t} never appears")
         c = target.cycle_count
-        twice_g = len(legs) - (n + c - 2)
-        if twice_g < 0 or twice_g % 2:
-            raise ConditionViolation(
-                "S1", f"length {len(legs)} has no genus: {n} + {c} - 2 + 2g"
-            )
-        return cls(n, root, legs, target, twice_g // 2)
+        return cls(n, root, legs, target,
+                   _genus("S1", "length", len(legs), n + c - 2, f"{n} + {c} - 2"))
 
     @property
     def factors(self) -> tuple[Transposition, ...]:
@@ -168,12 +173,8 @@ class MonotoneFactorisation:
     def from_factors(cls, n, order, factors, target) -> "MonotoneFactorisation":
         factors = tuple(factors)
         c = target.cycle_count
-        twice_g = len(factors) - (n - c)
-        if twice_g < 0 or twice_g % 2:
-            raise ConditionViolation(
-                "H1", f"length {len(factors)} has no genus: {n} - {c} + 2g"
-            )
-        return cls(n, order, factors, target, twice_g // 2)
+        return cls(n, order, factors, target,
+                   _genus("H1", "length", len(factors), n - c, f"{n} - {c}"))
 
     def to_line(self) -> str:
         return "".join(str(t) for t in self.factors)
@@ -204,6 +205,8 @@ class MonotoneDoubleFactorisation:
         n = self.n
         if self.sigma.n != n or self.target.n != n:
             raise ValueError("sigma/target degree differs from n")
+        if any(t.b > n for t in self.factors):
+            raise ValueError(f"factor symbol outside [{n}]")
         if self.sigma.cycle_count != 1:
             raise ConditionViolation("H0", f"{self.sigma} is not a full cycle")
         c = self.target.cycle_count
@@ -217,6 +220,14 @@ class MonotoneDoubleFactorisation:
             raise ConditionViolation("H2", "larger symbols not weakly increasing")
         if self.sigma * _product(n, self.factors) != self.target:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
+
+    @classmethod
+    def from_factors(cls, n, sigma, factors, target) -> "MonotoneDoubleFactorisation":
+        """Build a record, deriving the genus from the tail length."""
+        factors = tuple(factors)
+        c = target.cycle_count
+        return cls(n, sigma, factors, target,
+                   _genus("H1", "tail length", len(factors), c - 1, f"{c} - 1"))
 
     def to_line(self) -> str:
         return str(self.sigma) + "".join(str(t) for t in self.factors)
@@ -276,23 +287,26 @@ def _join(blocks: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     return tuple(lo if x == hi else x for x in blocks)
 
 
-def _walk(n: int, key: tuple, start, moves, steps: int, start_aux=0) -> dict:
+def _walk(n: int, key: tuple, start, moves, steps: int, start_aux=0, keep=True) -> dict:
     """Layer ``steps`` of the walk ``key`` on S_n: aux -> {prefix rank: walks}.
 
     The walk begins at the permutations ``start`` with aux ``start_aux``;
     from aux ``x`` it may multiply by (a, b) and take aux ``y`` for each
-    ((a, b), y) in ``moves(x)``.  Layers are built on demand and kept with
-    the walk.  Callers: the star, unconstrained star, monotone and monotone
-    double counters here, which start at aux 0; the double Hurwitz counter,
-    which starts at the cycles of a class representative as blocks; and
-    ``algebra._transitive_monomial``, which starts at (0, singleton blocks).
+    ((a, b), y) in ``moves(x)``.  Layers are built on demand and, with
+    ``keep``, cached with the walk.  Callers: the star, unconstrained star,
+    monotone and monotone double counters here, which start at aux 0; the
+    double Hurwitz counter, which starts at the cycles of a class
+    representative as blocks; and ``algebra._transitive_monomial``, which
+    starts at (0, singleton blocks) and keeps nothing, as it memoises the
+    one layer it reads.
     """
     entry = _WALKS.pop((n, key), None)
     if entry is None:
         entry = [{start_aux: {_rank(p): 1 for p in start}}], {}
-    _WALKS[n, key] = entry
-    if len(_WALKS) > _WALK_CACHE_SIZE:
-        _WALKS.popitem(last=False)
+    if keep:
+        _WALKS[n, key] = entry
+        if len(_WALKS) > _WALK_CACHE_SIZE:
+            _WALKS.popitem(last=False)
     layers, table = entry
     while len(layers) <= steps:
         nxt: dict[int, dict[int, int]] = {}

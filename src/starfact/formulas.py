@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .factorisations import b_number, count_star
+from .factorisations import b_number, count_monotone_double, count_star
 from .perms import Partition, class_representative
 
 # ---------------------------------------------------------------------------
@@ -246,6 +246,21 @@ def md_identity(n: int, genus: int) -> int:
     )
 
 
+def closed_form(lam: Partition, genus: int) -> int | None:
+    """Monotone double count of the class ``lam`` from its closed form: the
+    full cycle for n >= 2, or the identity; None for every other class.
+
+    >>> closed_form(Partition((3,)), 1), closed_form(Partition((2, 1)), 1)
+    (5, None)
+    """
+    n = lam.n
+    if n >= 2 and lam == Partition((n,)):
+        return md_full_cycle(n, genus)
+    if lam == Partition((1,) * n):
+        return md_identity(n, genus)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the genus recurrence
 
@@ -336,18 +351,11 @@ def agreement_row(lam: Partition, genus: int) -> dict:
     """One row of the cross-method table: DP star count, DP monotone
     double count, the series formula, and the closed form when the class
     is a full cycle or the identity."""
-    from .factorisations import count_monotone_double
-
-    n = lam.n
     rep = class_representative(lam)
-    star = count_star(rep, genus, n)
+    star = count_star(rep, genus, lam.n)
     md = count_monotone_double(rep, genus)
     feray = feray_count(lam, genus)
-    closed: int | None = None
-    if lam == Partition((n,)) and n >= 2:
-        closed = md_full_cycle(n, genus)
-    elif lam == Partition((1,) * n):
-        closed = md_identity(n, genus)
+    closed = closed_form(lam, genus)
     agree = star == md == feray and (closed is None or closed == star)
     return {
         "partition": str(lam),

@@ -8,7 +8,9 @@ front end exposes these under fixed suite ids.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from .algebra import (
@@ -343,16 +345,21 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
     checks = []
     for nn in range(2, n + 1):
         panel = order_panel(nn)
+        natural = TotalOrder.natural(nn)
         for g in range(gmax + 1):
+            # each domain and codomain is listed once per (n, g)
+            monotone = lru_cache(maxsize=None)(lambda w, order: enumerate_monotone(w, g, order))
+            mds = lru_cache(maxsize=None)(lambda w: enumerate_monotone_double(w, g))
+            stars = lru_cache(maxsize=None)(lambda w, root: enumerate_star(w, g, root))
+
             # adjacent-swap rewrite: bijection between order classes
             ok = True
             moved = 0
             for w in symmetric_group(nn):
                 for order in panel:
-                    source = enumerate_monotone(w, g, order)
+                    source = monotone(w, order)
                     for j in range(1, nn):
-                        swapped = order.swapped(j)
-                        target_set = set(enumerate_monotone(w, g, swapped))
+                        target_set = set(monotone(w, order.swapped(j)))
                         image = []
                         for f in source:
                             trace: list = []
@@ -376,9 +383,9 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
             # full order rewrite to natural and back
             ok = True
             for w in symmetric_group(nn):
-                natural_set = set(enumerate_monotone(w, g))
+                natural_set = set(monotone(w, natural))
                 for order in panel:
-                    source = enumerate_monotone(w, g, order)
+                    source = monotone(w, order)
                     image = [lambda_order(f) for f in source]
                     if any(not f.order.is_natural for f in image):
                         ok = False
@@ -399,12 +406,12 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
             ok = True
             count = 0
             for w in symmetric_group(nn):
-                md_set = set(enumerate_monotone_double(w, g))
+                md_set = set(mds(w))
                 for root in range(1, nn + 1):
-                    stars = enumerate_star(w, g, root)
-                    count += len(stars)
+                    rooted = stars(w, root)
+                    count += len(rooted)
                     image = []
-                    for f in stars:
+                    for f in rooted:
                         trace = []
                         md = gamma(f, trace)
                         if not _step_products_preserved(trace):
@@ -412,10 +419,10 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
                         if reroot(f, root) != f:
                             ok = False
                         image.append(md)
-                    if set(image) != md_set or len(set(image)) != len(stars):
+                    if set(image) != md_set or len(set(image)) != len(rooted):
                         ok = False
                     if root == nn and any(
-                        gamma_inverse(md) != f for f, md in zip(stars, image)
+                        gamma_inverse(md) != f for f, md in zip(rooted, image)
                     ):
                         ok = False
             checks.append(
@@ -429,15 +436,12 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
             # rerooting is a bijection between root classes
             ok = True
             for w in symmetric_group(nn):
-                by_root = {
-                    r: enumerate_star(w, g, r) for r in range(1, nn + 1)
-                }
-                for r, stars in by_root.items():
+                for r in range(1, nn + 1):
                     for r2 in range(1, nn + 1):
-                        image = [reroot(f, r2) for f in stars]
-                        if set(image) != set(by_root[r2]):
+                        image = [reroot(f, r2) for f in stars(w, r)]
+                        if set(image) != set(stars(w, r2)):
                             ok = False
-                        if any(reroot(im, r) != f for f, im in zip(stars, image)):
+                        if any(reroot(im, r) != f for f, im in zip(stars(w, r), image)):
                             ok = False
             checks.append(
                 CheckResult(f"rerooting bijective with round trips, n={nn}, g={g}", ok)
@@ -446,15 +450,13 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
             # conjugation transport on monotone and monotone double forms
             ok = True
             for w in symmetric_group(nn):
-                mono = enumerate_monotone(w, g)
-                mds = enumerate_monotone_double(w, g)
                 for d in symmetric_group(nn):
                     relabelled = w.relabel(d.inverse())
-                    mono_image = [delta(f, d) for f in mono]
-                    if set(mono_image) != set(enumerate_monotone(relabelled, g)):
+                    mono_image = [delta(f, d) for f in monotone(w, natural)]
+                    if set(mono_image) != set(monotone(relabelled, natural)):
                         ok = False
-                    md_image = [theta(f, d) for f in mds]
-                    if set(md_image) != set(enumerate_monotone_double(relabelled, g)):
+                    md_image = [theta(f, d) for f in mds(w)]
+                    if set(md_image) != set(mds(relabelled)):
                         ok = False
             checks.append(
                 CheckResult(
@@ -465,12 +467,11 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
 
             # centrality witness: same count at every member of the class
             ok = True
-            for lam, members in conjugacy_classes(nn).items():
-                base = members[0]
-                stars = enumerate_star(base, g, nn)
+            for members in conjugacy_classes(nn).values():
+                base = stars(members[0], nn)
                 for other in members:
-                    image = [centrality_witness(f, other) for f in stars]
-                    if set(image) != set(enumerate_star(other, g, nn)):
+                    image = [centrality_witness(f, other) for f in base]
+                    if set(image) != set(stars(other, nn)):
                         ok = False
             checks.append(
                 CheckResult(
@@ -489,8 +490,13 @@ class SuiteSpec:
     name: str
     runner: Callable[..., SuiteReport]
     description: str
-    defaults: dict = field(default_factory=dict)
     caps: dict = field(default_factory=dict)
+
+    @property
+    def defaults(self) -> dict:
+        """The runner's parameters and their defaults, in signature order."""
+        params = inspect.signature(self.runner).parameters.values()
+        return {p.name: p.default for p in params if p.default is not p.empty}
 
 
 SUITES: dict[str, SuiteSpec] = {
@@ -500,63 +506,54 @@ SUITES: dict[str, SuiteSpec] = {
             "theorem-1.1",
             suite_theorem_1_1,
             "elementary slot polynomials expand to class-sum strata",
-            {"n": 6},
             {"n": 7},
         ),
         SuiteSpec(
             "theorem-1.4",
             suite_theorem_1_4,
             "star counts equal monotone double counts; explicit bijection on listings",
-            {"n": 5, "gmax": 2},
             {"n": 6, "gmax": 3},
         ),
         SuiteSpec(
             "theorem-1.7",
             suite_theorem_1_7,
             "transitive parts of symmetric-function values are central",
-            {"n": 5, "wmax": 5},
             {"n": 6, "wmax": 6},
         ),
         SuiteSpec(
             "corollary-1.6",
             suite_corollary_1_6,
             "four routes to the transitive top-slot power agree",
-            {"n": 5, "kmax": 3},
             {"n": 6, "kmax": 4},
         ),
         SuiteSpec(
             "recurrence-2.1",
             suite_recurrence_2_1,
             "join-cut recurrence reproduces DP star counts",
-            {"n": 6, "gmax": 2},
             {"n": 7, "gmax": 3},
         ),
         SuiteSpec(
             "formulas-6.2",
             suite_formulas_6_2,
             "series formula and closed forms agree with DP and listings",
-            {"n": 5, "gmax": 2},
             {"n": 6, "gmax": 3},
         ),
         SuiteSpec(
             "recurrence-6.3",
             suite_recurrence_6_3,
             "three-term recurrence for identity-target counts",
-            {"n": 5, "gmax": 3},
             {"n": 7, "gmax": 5},
         ),
         SuiteSpec(
             "relation-6.4",
             suite_relation_6_4,
             "padded double Hurwitz relation by exhaustion in the doubled group",
-            {"n": 4},
             {"n": 5},
         ),
         SuiteSpec(
             "bijections",
             suite_bijections,
             "round trips, images and product preservation for all maps",
-            {"n": 4, "gmax": 1},
             {"n": 4, "gmax": 2},
         ),
     )

@@ -152,6 +152,6 @@ def test_criterion_09_closed_formulas(announce):
 
 
 def test_criterion_10_double_hurwitz_relation(announce):
-    with announce(10, "signed double Hurwitz relation by exhaustion", 600):
+    with announce(10, "padded double Hurwitz relation by exhaustion", 600):
         report = run_suite("relation-6.4")
         assert report.passed, "\n".join(report.lines())

@@ -256,6 +256,8 @@ class TestTransitivityOperator:
             )
             assert first.setdefault(lam, counts) == counts, lam
             assert len(_WALKS) <= _WALK_CACHE_SIZE
+        # the memo holds each transitive value, so no transitive walk is kept
+        assert not [key for _, key in _WALKS if key[0] == "transitive"]
         info = _transitive_monomial.cache_info()
         assert info.misses == info.currsize == len(sweep)
         for memo in (_transitive_monomial, _monomial_value):

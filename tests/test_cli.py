@@ -11,6 +11,15 @@ import sys
 import pytest
 
 from starfact import cli
+from starfact.algebra import (
+    NotCentralError,
+    e,
+    evaluate,
+    format_class_decomposition,
+    jm_var,
+    p,
+    transitive_evaluate,
+)
 from starfact.verify import CheckResult, SuiteReport, SuiteSpec, SUITES
 
 
@@ -177,6 +186,30 @@ class TestTrace:
         assert out == ""
         assert err == "condition S2' violated: (2 3) never appears\n"
 
+    def test_tail_with_no_genus_is_reported(self, capsys):
+        code, out, err = run(
+            capsys, "trace", "--map", "gamma-inverse", "--n", "3",
+            "--sigma", "(1 2)", "--tail", "(1 2)",
+        )
+        assert code == 2 and out == ""
+        assert err == "condition H1 violated: tail length 1 has no genus: 3 - 1 + 2g\n"
+
+    def test_stated_target_must_match_the_product(self, capsys):
+        code, out, err = run(
+            capsys, "trace", "--map", "gamma-inverse", "--n", "3",
+            "--sigma", "(1 2 3)", "--tail", "(1 2)", "--target", "(1 2)",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: stated target (1 2)(3) differs from product (1)(2 3)\n"
+
+    def test_genus_comes_from_the_tail(self, capsys):
+        code, out, _ = run(
+            capsys, "trace", "--map", "gamma-inverse", "--n", "3",
+            "--sigma", "(1 2 3)", "--tail", "(1 2)(1 3)", "--target", "(1 3 2)",
+        )
+        assert code == 0
+        assert out.endswith("target=(1 3 2) genus=1\n")
+
     def test_reroot_round_trip_visible(self, capsys):
         code, out, _ = run(
             capsys, "trace", "--map", "reroot", "--n", "3", "--root", "3",
@@ -216,6 +249,52 @@ class TestAlgebra:
         code, _, err = run(capsys, "algebra", "--n", "3", "--expr", "T(T(J[3]))")
         assert code == 2
         assert "nested T(...) is not supported" in err
+
+    @staticmethod
+    def rendered(element):
+        try:
+            return format_class_decomposition(element.decompose())
+        except NotCentralError as exc:
+            a, b = exc.witness
+            return (f"NotCentral: coefficient {element.coefficient(a)} at {a} "
+                    f"but {element.coefficient(b)} at {b}")
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_transitive_values_mixed_with_plain_ones(self, capsys, n):
+        expected = {
+            "T(p[3]) - J[3]*J[2]":
+                transitive_evaluate(p(3), n) - evaluate(jm_var(3) * jm_var(2), n),
+            "T(J[3]^2)*e[1]": transitive_evaluate(jm_var(3) ** 2, n) * evaluate(e(1), n),
+            "J[2] + T(e[2])": evaluate(jm_var(2), n) + transitive_evaluate(e(2), n),
+        }
+        for expr, element in expected.items():
+            code, out, _ = run(capsys, "algebra", "--n", str(n), "--expr", expr)
+            assert code == 0
+            assert out == self.rendered(element) + "\n", expr
+
+    def test_first_slot_is_zero_outside_transitive(self, capsys):
+        for expr in ("J[1]", "J[1]*T(p[2])", "J[1]^2 + J[1]"):
+            code, out, _ = run(capsys, "algebra", "--n", "3", "--expr", expr)
+            assert (code, out) == (0, "0\n"), expr
+        code, _, err = run(capsys, "algebra", "--n", "3", "--expr", "T(J[1])")
+        assert code == 2
+        assert err == "error: slots start at 2\n"
+
+    def test_large_power_of_a_plain_expression(self, capsys):
+        # the exponent is past Python's recursion limit: a plain power is
+        # taken in the group algebra, not expanded as a polynomial
+        element = evaluate(e(1), 3) ** 3000 - evaluate(jm_var(3), 3)
+        code, out, _ = run(capsys, "algebra", "--n", "3", "--expr", "e[1]^3000 - J[3]")
+        assert code == 0
+        assert out == self.rendered(element) + "\n"
+
+    def test_slot_beyond_degree_is_refused(self, capsys):
+        code, _, err = run(capsys, "algebra", "--n", "3", "--expr", "J[4]^0")
+        assert code == 2
+        assert err == "error: slot 4 outside [3]\n"
+        code, _, err = run(capsys, "algebra", "--n", "3", "--expr", "T(J[4])")
+        assert code == 2
+        assert err == "error: slot 4 absent for n=3\n"
 
     def test_mixed_expression(self, capsys):
         # h[1]^2 and e[1,1] are the same element, so they cancel exactly

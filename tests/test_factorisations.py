@@ -361,6 +361,27 @@ class TestMonotoneDouble:
             )
         assert str(exc.value) == "condition H1 violated: tail length 1 != 1 - 1 + 2*0"
 
+    def test_factor_symbols_must_lie_in_range(self):
+        with pytest.raises(ValueError, match=r"factor symbol outside \[3\]"):
+            MonotoneDoubleFactorisation(
+                3, perm("(1 2 3)"), (Transposition(1, 5),) * 2, perm("(1 2 3)"), 1
+            )
+
+    def test_from_factors_derives_genus(self):
+        f = MonotoneDoubleFactorisation.from_factors(
+            3, perm("(1 2 3)"), (Transposition(1, 2), Transposition(1, 3)), perm("(1 3 2)")
+        )
+        assert f.genus == 1
+        assert f == enumerate_monotone_double(perm("(1 3 2)"), 1)[0]
+
+    def test_from_factors_rejects_a_tail_with_no_genus(self):
+        # the tail condition is checked before the full-cycle condition
+        with pytest.raises(ConditionViolation) as exc:
+            MonotoneDoubleFactorisation.from_factors(
+                3, perm("(1 2)(3)"), (Transposition(1, 2),), Permutation.identity(3)
+            )
+        assert str(exc.value) == "condition H1 violated: tail length 1 has no genus: 3 - 1 + 2g"
+
     def test_tail_monotonicity_condition(self):
         # the tail (1 4)(2 3) has larger symbols 4 then 3
         with pytest.raises(ConditionViolation) as exc:

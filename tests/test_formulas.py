@@ -14,6 +14,7 @@ from starfact.formulas import (
     base_series,
     catalan,
     central_factorial,
+    closed_form,
     feray_count,
     md_full_cycle,
     md_identity,
@@ -151,6 +152,23 @@ class TestClosedForms:
                 assert md_full_cycle(n, genus) == count_monotone_double(cycle, genus)
                 ident = class_representative(Partition((1,) * n))
                 assert md_identity(n, genus) == count_monotone_double(ident, genus)
+
+
+class TestClosedForm:
+    def test_degree_one_is_the_identity(self):
+        for genus in (0, 1, 2):
+            assert closed_form(Partition((1,)), genus) == md_identity(1, genus)
+
+    def test_full_cycle(self):
+        assert closed_form(Partition((3,)), 1) == md_full_cycle(3, 1) == 5
+        assert closed_form(Partition((4,)), 2) == md_full_cycle(4, 2)
+
+    def test_identity(self):
+        assert closed_form(Partition((1, 1, 1)), 1) == md_identity(3, 1) == 20
+
+    def test_no_closed_form_for_other_classes(self):
+        assert closed_form(Partition((2, 1)), 0) is None
+        assert closed_form(Partition((2, 2)), 1) is None
 
 
 class TestRecurrence:
