@@ -14,17 +14,23 @@ the transposition tuples whose edges connect all of {1..n}.  It is linear
 over monomials but deliberately NOT an algebra homomorphism; see
 ``transitive_evaluate``.
 
-Plain values are products of ``AlgebraElement``s.  Transitive values of a
-monomial come from the layered walk of ``factorisations`` over (prefix
-product, connectivity blocks); ``method="expand"`` enumerates the tuples
-literally instead, as an independent cross-check.  Both memos keep at most
-``_MONOMIAL_CACHE_SIZE`` monomials.
+Plain values are products of ``AlgebraElement``s; a product composes each
+left term with every right term through one ``operator.itemgetter`` built
+for the left term, so the composition runs at C level.  Transitive values
+of a monomial come from the layered walk of ``factorisations`` over
+(prefix product, connectivity blocks).  The moves out of a state depend
+only on its block labels and the slot in play, so every walk reads them
+from one shared memo, ``_transitive_move_list``, of at most
+``_MOVE_LIST_CACHE_SIZE`` lists; ``method="expand"`` enumerates the tuples
+literally instead, as an independent cross-check.  Both monomial memos keep
+at most ``_MONOMIAL_CACHE_SIZE`` monomials.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import combinations, product
+from operator import add, itemgetter
 
 from .factorisations import _coding, _join, _walk
 from .perms import Partition, Permutation, conjugacy_classes, partitions_of
@@ -95,10 +101,16 @@ class AlgebraElement:
         if self.n != other.n:
             raise ValueError("degree mismatch")
         out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        right = other.terms.items()
         for p, c1 in self.terms.items():
-            for q, c2 in other.terms.items():
-                r = tuple(q[v - 1] for v in p)
-                out[r] = out.get(r, 0) + c1 * c2
+            # p then q is q read at p's images; one itemgetter per p composes
+            # at C level, except below degree 2, where S_n is trivial and a
+            # single-index itemgetter would return a scalar
+            compose = itemgetter(*[v - 1 for v in p]) if self.n > 1 else tuple
+            for q, c2 in right:
+                r = compose(q)
+                out[r] = get(r, 0) + c1 * c2
         return AlgebraElement(self.n, out)
 
     def __pow__(self, k: int) -> "AlgebraElement":
@@ -218,10 +230,7 @@ class SymExpr:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out: SymExpr = _Scalar(1)
-        for _ in range(k):
-            out = _Prod(out, self)
-        return out
+        return _Pow(self, k)
 
 
 def _as_expr(x) -> SymExpr:
@@ -262,18 +271,38 @@ class _Sum(SymExpr):
         return {k: v for k, v in out.items() if v}
 
 
+def _times(lhs: dict, rhs: dict) -> dict[tuple[int, ...], int]:
+    """Product of two expanded polynomials."""
+    out: dict[tuple[int, ...], int] = {}
+    for ka, va in lhs.items():
+        for kb, vb in rhs.items():
+            key = tuple(map(add, ka, kb))
+            out[key] = out.get(key, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
 class _Prod(SymExpr):
     def __init__(self, left: SymExpr, right: SymExpr) -> None:
         self.left, self.right = left, right
 
     def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        lhs, rhs = self.left.expand(n), self.right.expand(n)
-        out: dict[tuple[int, ...], int] = {}
-        for ka, va in lhs.items():
-            for kb, vb in rhs.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                out[key] = out.get(key, 0) + va * vb
-        return {k: v for k, v in out.items() if v}
+        return _times(self.left.expand(n), self.right.expand(n))
+
+
+class _Pow(SymExpr):
+    """``base`` to the power k: the base is expanded once, even at k = 0, so
+    a slot it cannot have is refused at every exponent, and then multiplied
+    in k times by a loop."""
+
+    def __init__(self, base: SymExpr, k: int) -> None:
+        self.base, self.k = base, k
+
+    def expand(self, n: int) -> dict[tuple[int, ...], int]:
+        base = self.base.expand(n)
+        out = _Scalar(1).expand(n)
+        for _ in range(self.k):
+            out = _times(out, base)
+        return out
 
 
 class _Gen(SymExpr):
@@ -386,14 +415,26 @@ def evaluate(expr: SymExpr, n: int) -> AlgebraElement:
     return out
 
 
+# Move lists kept by ``_transitive_move_list``; the largest uses in the package
+# need fewer: 382 for verify theorem-1.7 at its caps, 1 535 at n = 7, wmax = 6.
+_MOVE_LIST_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=_MOVE_LIST_CACHE_SIZE)
+def _transitive_move_list(blocks: tuple[int, ...], j: int) -> tuple[tuple[int, ...], ...]:
+    """The block labels after (i j), for i = 1, ..., j - 1.  They depend only
+    on the labels and the slot, so every transitive walk shares them."""
+    return tuple(_join(blocks, i, j) for i in range(1, j))
+
+
 def _transitive_moves(slots: tuple[int, ...], aux):
     """Moves (i j) of a transitive walk, j the slot at the aux's position.
     The aux is (slot position, block labels), where block labels give each
     symbol the least (0-based) symbol joined to it by the factors so far."""
     pos, blocks = aux
-    j = slots[pos]
-    for i in range(1, j):
-        yield (i, j), (pos + 1, _join(blocks, i, j))
+    j, nxt = slots[pos], pos + 1
+    return [((i, j), (nxt, joined))
+            for i, joined in enumerate(_transitive_move_list(blocks, j), 1)]
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)

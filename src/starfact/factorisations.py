@@ -280,10 +280,27 @@ def _rank(p: Permutation) -> int:
     return _coding(p.n)[0][bytes(p.images)]
 
 
+def _cycle_type(images: bytes) -> tuple[int, ...]:
+    """Cycle lengths, largest first, of the permutation with these images."""
+    seen = bytearray(len(images) + 1)
+    lengths = []
+    for start in range(1, len(images) + 1):
+        length, s = 0, start
+        while not seen[s]:
+            seen[s] = 1
+            s = images[s - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
 def _join(blocks: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """Block labels after joining the blocks of symbols a and b, where each
     symbol's label is the least (0-based) symbol of its block."""
     lo, hi = sorted((blocks[a - 1], blocks[b - 1]))
+    if lo == hi:
+        return blocks
     return tuple(lo if x == hi else x for x in blocks)
 
 
@@ -553,7 +570,7 @@ def count_double_hurwitz(n: int, alpha: Partition, beta: Partition, genus: int) 
                   start_aux=tuple(least[s] for s in range(1, n + 1)))
     perms = list(_coding(n)[0])
     total = sum(c for r, c in layer.get((0,) * n, {}).items()
-                if Permutation(perms[r]).cycle_type() == beta)
+                if _cycle_type(perms[r]) == beta.parts)
     return total * class_size(n, alpha)
 
 

@@ -18,21 +18,29 @@ from .perms import Partition, class_representative
 # integer triangles
 
 
-@lru_cache(maxsize=None)
+def _triangle(m: int, k: int, weight) -> int:
+    """Entry (m, k) of the triangle with T(0, 0) = 1, T(m, 0) = T(0, k) = 0
+    otherwise, and T(m, k) = T(m-1, k-1) + weight(k) T(m-1, k), built row by
+    row over columns 0..k."""
+    if m < 0 or k < 0:
+        raise ValueError("arguments must be nonnegative")
+    row = [1] + [0] * k
+    for _ in range(m):
+        for j in range(k, 0, -1):
+            row[j] = row[j - 1] + weight(j) * row[j]
+        row[0] = 0
+    return row[k]
+
+
 def stirling2(m: int, k: int) -> int:
     """Partitions of an m-set into k nonempty blocks.
 
     >>> stirling2(5, 2)
     15
     """
-    if m < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    if m == 0 or k == 0:
-        return int(m == k)
-    return k * stirling2(m - 1, k) + stirling2(m - 1, k - 1)
+    return _triangle(m, k, lambda j: j)
 
 
-@lru_cache(maxsize=None)
 def central_factorial(m: int, k: int) -> int:
     """Central factorial number T(m, k).
 
@@ -44,11 +52,7 @@ def central_factorial(m: int, k: int) -> int:
     >>> central_factorial(3, 2)
     5
     """
-    if m < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    if m == 0 or k == 0:
-        return int(m == k)
-    return central_factorial(m - 1, k - 1) + k * k * central_factorial(m - 1, k)
+    return _triangle(m, k, lambda j: j * j)
 
 
 def catalan(m: int) -> int:

@@ -5,6 +5,8 @@ The frozen fourth-power table guards against sign or convention drift; the
 oracle recomputes it by expanding words of star transpositions literally.
 """
 
+import random
+import sys
 from itertools import product
 
 import pytest
@@ -15,6 +17,7 @@ from starfact.algebra import (
     NotCentralError,
     _monomial_value,
     _transitive_monomial,
+    _transitive_move_list,
     class_sum,
     e,
     evaluate,
@@ -87,6 +90,30 @@ class TestElements:
         assert x**0 == one and x**2 == x * x
         with pytest.raises(ValueError):
             x ** (-1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_product_composes_term_by_term(self, n):
+        # the reference multiplies every pair of terms with Permutation.__mul__
+        def reference(a, b):
+            out = {}
+            for p_images, c1 in a.terms.items():
+                for q_images, c2 in b.terms.items():
+                    r = (Permutation(p_images) * Permutation(q_images)).images
+                    out[r] = out.get(r, 0) + c1 * c2
+            return AlgebraElement(n, out)
+
+        rng = random.Random(n)
+        group = [w.images for w in symmetric_group(n)]
+        dense = AlgebraElement(n, {w: rng.choice([-3, -1, 1, 2, 5]) for w in group})
+        picked = rng.sample(group, min(3, len(group)))
+        sparse = AlgebraElement(n, {w: rng.randint(-4, 4) or 1 for w in picked})
+        jm = jm_element(n, n)
+        elements = (dense, sparse, jm, -jm, AlgebraElement.one(n), AlgebraElement.zero(n))
+        for a in elements:
+            for b in elements:
+                got, want = a * b, reference(a, b)
+                assert got == want
+                assert list(got.terms) == list(want.terms)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -180,6 +207,25 @@ class TestSymbolicEvaluation:
         with pytest.raises(ValueError):
             evaluate(jm_var(4), 3)
 
+    def test_power_zero_keeps_its_base(self):
+        # x^0 is 1, but a slot the degree lacks is refused at every exponent
+        assert (jm_var(3) ** 0).expand(3) == {(0, 0): 1}
+        for k in (0, 1, 3):
+            with pytest.raises(ValueError, match="slot 7 absent for n=3"):
+                evaluate(jm_var(7) ** k, 3)
+            with pytest.raises(ValueError, match="slot 7 absent for n=3"):
+                transitive_evaluate(jm_var(7) ** k, 3)
+
+    def test_power_past_the_recursion_limit(self):
+        k = sys.getrecursionlimit() + 200
+        assert (jm_var(2) ** k).expand(3) == {(k, 0): 1}
+        assert ((jm_var(2) + jm_var(3)) ** 2).expand(3) == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
+        # symbol 3 is never moved by a power of the slot-2 variable
+        assert transitive_evaluate(jm_var(2) ** k, 3) == AlgebraElement.zero(3)
+        # words in (1 3), (2 3) span {1, 2, 3} unless they use one letter only
+        top = transitive_evaluate(jm_var(3) ** k, 3)
+        assert sum(top.terms.values()) == 2**k - 2
+
     def test_expression_arithmetic_matches_algebra(self):
         n = 4
         lhs = evaluate((e(1) + 2) * h(1) - p(2), n)
@@ -260,7 +306,8 @@ class TestTransitivityOperator:
         assert not [key for _, key in _WALKS if key[0] == "transitive"]
         info = _transitive_monomial.cache_info()
         assert info.misses == info.currsize == len(sweep)
-        for memo in (_transitive_monomial, _monomial_value):
+        assert _transitive_move_list.cache_info().currsize > 0
+        for memo in (_transitive_monomial, _monomial_value, _transitive_move_list):
             assert memo.cache_info().maxsize is not None
             assert memo.cache_info().currsize <= memo.cache_info().maxsize
 

@@ -57,6 +57,17 @@ class TestCount:
             "method=formula count=5\n"
         )
 
+    def test_formula_at_large_genus(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--family", "md", "--partition", "[3]",
+            "--genus", "400", "--method", "formula",
+        )
+        assert code == 0 and err == ""
+        assert out == (
+            "family=md partition=[3] target=(1 2 3) genus=400\n"
+            f"method=formula count={(2**802 - 1) // 3}\n"
+        )
+
     def test_monotone_with_order(self, capsys):
         code, out, _ = run(
             capsys,
@@ -295,6 +306,18 @@ class TestAlgebra:
         code, _, err = run(capsys, "algebra", "--n", "3", "--expr", "T(J[4])")
         assert code == 2
         assert err == "error: slot 4 absent for n=3\n"
+
+    def test_slot_beyond_degree_is_refused_at_power_zero(self, capsys):
+        code, out, err = run(capsys, "algebra", "--n", "3", "--expr", "T(J[7]^0)")
+        assert (code, out, err) == (2, "", "error: slot 7 absent for n=3\n")
+
+    def test_large_power_inside_transitive(self, capsys):
+        code, out, _ = run(capsys, "algebra", "--n", "3", "--expr", "T(J[2]^1200)")
+        assert (code, out) == (0, "0\n")
+        element = transitive_evaluate(jm_var(3) ** 1200, 3)
+        code, out, _ = run(capsys, "algebra", "--n", "3", "--expr", "T(J[3]^1200)")
+        assert code == 0
+        assert out == self.rendered(element) + "\n"
 
     def test_mixed_expression(self, capsys):
         # h[1]^2 and e[1,1] are the same element, so they cancel exactly

@@ -145,6 +145,14 @@ class TestClosedForms:
         assert md_identity(3, 1) == 20
         assert md_identity(1, 0) == 1
 
+    def test_closed_forms_at_genus_400(self):
+        # S(m, 2) = 2^(m-1) - 1 and T(m, 2) = (4^(m-1) - 1) / 3, far past
+        # any recursion limit
+        assert stirling2(803, 2) == 2**802 - 1
+        assert md_full_cycle(3, 400) == (2**802 - 1) // 3
+        assert central_factorial(402, 2) == (4**401 - 1) // 3
+        assert md_identity(3, 400) == 2 * 2 * (4**401 - 1) // 3
+
     def test_closed_forms_match_enumeration(self):
         for n in (2, 3, 4):
             for genus in (0, 1):
