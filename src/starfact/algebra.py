@@ -399,6 +399,9 @@ _MONOMIAL_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
 def _monomial_value(n: int, exps: tuple[int, ...]) -> AlgebraElement:
+    """The monomial with one factor of its last slot fewer, times that
+    slot's Jucys-Murphy element.  Only ``_monomial`` calls this, in an
+    order that finds the smaller monomial in the memo."""
     last = max((i for i, a in enumerate(exps) if a), default=-1)
     if last < 0:
         return AlgebraElement.one(n)
@@ -407,11 +410,24 @@ def _monomial_value(n: int, exps: tuple[int, ...]) -> AlgebraElement:
     return _monomial_value(n, tuple(smaller)) * jm_element(n, last + 2)
 
 
+def _monomial(n: int, exps: tuple[int, ...]) -> AlgebraElement:
+    """Value of a canonical monomial, built up one factor at a time in a
+    loop: each prefix is asked for after the one before it, which the memo
+    then holds, so no call nests deeper than one level whatever the degree."""
+    prefix = [0] * len(exps)
+    value = _monomial_value(n, tuple(prefix))
+    for i, a in enumerate(exps):
+        for _ in range(a):
+            prefix[i] += 1
+            value = _monomial_value(n, tuple(prefix))
+    return value
+
+
 def evaluate(expr: SymExpr, n: int) -> AlgebraElement:
     """Evaluate an expression at the slot-2..n Jucys-Murphy elements."""
     out = AlgebraElement.zero(n)
     for exps, coeff in expr.expand(n).items():
-        out = out + coeff * _monomial_value(n, exps)
+        out = out + coeff * _monomial(n, exps)
     return out
 
 

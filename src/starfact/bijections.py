@@ -31,8 +31,7 @@ Every function takes an optional ``trace`` list and appends one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .perms import (
     Permutation,
@@ -49,8 +48,7 @@ from .factorisations import (
 )
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One elementary move on the adjacent pair at 1-based position ``pos``.
 
     ``move`` is "RHM", "LHM", or "S2"; the last marks right-hand moves made
@@ -69,8 +67,17 @@ class TraceStep:
 
 
 def _through(u: Transposition, t: Transposition) -> Transposition:
-    a = t.other(u.a) if u.a in t else u.a
-    b = t.other(u.b) if u.b in t else u.b
+    """``u`` with each of its symbols that ``t`` moves sent through ``t``."""
+    a, b = u
+    x, y = t
+    if a == x:
+        a = y
+    elif a == y:
+        a = x
+    if b == x:
+        b = y
+    elif b == y:
+        b = x
     return Transposition(a, b)
 
 
@@ -110,7 +117,8 @@ def replay(factors: Sequence[Transposition], steps: Iterable[TraceStep]) -> tupl
 
 
 def _larger(rank: list[int], t: Transposition) -> int:
-    return t.b if rank[t.a] < rank[t.b] else t.a
+    a, b = t
+    return b if rank[a] < rank[b] else a
 
 
 def _swap(facs: list, seq: list[int], rank: list[int], j: int, trace: list | None) -> None:
@@ -161,21 +169,25 @@ def _unswap(facs: list, seq: list[int], rank: list[int], j: int, trace: list | N
             k -= 1
 
 
-def _order_lists(order: TotalOrder) -> tuple[list[int], list[int]]:
-    return list(order.sequence), [0] + [order.rank(s) for s in range(1, order.n + 1)]
+def _order_lists(sequence) -> tuple[list[int], list[int]]:
+    """The order ``sequence`` as a list, and its ranks as a list indexed by symbol."""
+    rank = [0] * (len(sequence) + 1)
+    for r, s in enumerate(sequence, 1):
+        rank[s] = r
+    return list(sequence), rank
 
 
 def _to_natural(facs: list, order: TotalOrder, trace: list | None) -> None:
     """Rewrite ``facs`` from ``order``-monotone to natural-monotone by one
     :func:`_swap` per step of the bubble sort of ``order``."""
-    seq, rank = _order_lists(order)
+    seq, rank = _order_lists(order.sequence)
     for j in sort_swaps(order):
         _swap(facs, seq, rank, j, trace)
 
 
 def _from_natural(facs: list, order: TotalOrder, trace: list | None) -> None:
     """Inverse of :func:`_to_natural`."""
-    seq, rank = _order_lists(TotalOrder.natural(order.n))
+    seq, rank = _order_lists(range(1, order.n + 1))
     for j in reversed(sort_swaps(order)):
         _unswap(facs, seq, rank, j, trace)
     if tuple(seq) != order.sequence:
@@ -262,7 +274,7 @@ def _adjacent(f: MonotoneFactorisation, j: int, stage, trace: list | None) -> Mo
     if not 1 <= j <= f.n - 1:
         raise ValueError(f"swap position {j} outside [1, {f.n - 1}]")
     facs = list(f.factors)
-    seq, rank = _order_lists(f.order)
+    seq, rank = _order_lists(f.order.sequence)
     stage(facs, seq, rank, j, trace)
     return MonotoneFactorisation(f.n, TotalOrder(seq), tuple(facs), f.target, f.genus)
 

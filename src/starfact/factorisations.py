@@ -13,6 +13,12 @@ Four families are covered.
   arbitrary transpositions, landing in a second class, generating a
   transitive group (H3''); these are counted, not listed.
 
+Each record is validated once, when it is built, in O(n + m) for m
+factors: the conditions read integer images and symbols, the cycle counts
+come from the cycle data each :class:`Permutation` computes once and
+keeps, and ``_product`` swaps two entries of an inverse-image list per
+factor before comparing the images with the target's.
+
 Counting and listing are deliberately separate code paths.  The listers
 share one pruned depth-first search, ``_list``, which carries the distance
 of the remaining product down the recursion and returns the found
@@ -32,7 +38,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, permutations
-from operator import methodcaller
+from operator import attrgetter, methodcaller
 
 from .perms import (
     Partition,
@@ -42,7 +48,6 @@ from .perms import (
     all_transpositions,
     class_representative,
     class_size,
-    symmetric_group,
 )
 
 
@@ -54,16 +59,23 @@ class ConditionViolation(ValueError):
         super().__init__(f"condition {condition} violated: {message}")
 
 
-def _product(n: int, factors) -> Permutation:
-    images = list(range(1, n + 1))
-    for t in factors:
-        a, b = t.a, t.b
-        for i, v in enumerate(images):
-            if v == a:
-                images[i] = b
-            elif v == b:
-                images[i] = a
-    return Permutation(images)
+def _product(n: int, pairs, first: Permutation | None = None) -> tuple[int, ...]:
+    """Images of ``first`` (the identity if None) times the transpositions
+    (a b) for (a, b) in ``pairs``, left to right, in O(n + m).
+
+    It keeps the product's inverse: inv[v] is the symbol sent to v, and a
+    factor (a b) applied after the product exchanges inv[a] and inv[b].
+    """
+    inv = list(range(n + 1))
+    if first is not None:
+        for s, v in enumerate(first.images, 1):
+            inv[v] = s
+    for a, b in pairs:
+        inv[a], inv[b] = inv[b], inv[a]
+    images = [0] * n
+    for v in range(1, n + 1):
+        images[inv[v] - 1] = v
+    return tuple(images)
 
 
 def _genus(condition: str, what: str, length: int, base: int, formula: str) -> int:
@@ -107,7 +119,7 @@ class StarFactorisation:
                 "S1",
                 f"length {len(self.legs)} != {n} + {c} - 2 + 2*{self.genus}",
             )
-        if _product(n, self.factors) != self.target:
+        if _product(n, ((a, root) for a in self.legs)) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
 
     @classmethod
@@ -158,7 +170,8 @@ class MonotoneFactorisation:
             raise ValueError("order/target degree differs from n")
         if any(t.b > n for t in self.factors):
             raise ValueError(f"factor symbol outside [{n}]")
-        ranks = [self.order.rank(self.order.larger_of(t)) for t in self.factors]
+        rank = self.order.rank
+        ranks = [max(rank(a), rank(b)) for a, b in self.factors]
         if any(x > y for x, y in zip(ranks, ranks[1:])):
             raise ConditionViolation("H2", f"larger symbols not weakly increasing under {self.order}")
         c = self.target.cycle_count
@@ -166,7 +179,7 @@ class MonotoneFactorisation:
             raise ConditionViolation(
                 "H1", f"length {len(self.factors)} != {n} - {c} + 2*{self.genus}"
             )
-        if _product(n, self.factors) != self.target:
+        if _product(n, self.factors) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
 
     @classmethod
@@ -214,11 +227,10 @@ class MonotoneDoubleFactorisation:
             raise ConditionViolation(
                 "H1", f"tail length {len(self.factors)} != {c} - 1 + 2*{self.genus}"
             )
-        nat = TotalOrder.natural(n)
-        bs = [nat.larger_of(t) for t in self.factors]
+        bs = [t.b for t in self.factors]
         if any(x > y for x, y in zip(bs, bs[1:])):
             raise ConditionViolation("H2", "larger symbols not weakly increasing")
-        if self.sigma * _product(n, self.factors) != self.target:
+        if _product(n, self.factors, self.sigma) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
 
     @classmethod
@@ -249,8 +261,12 @@ class MonotoneDoubleFactorisation:
 
 @lru_cache(maxsize=2)
 def full_cycles(n: int) -> tuple[Permutation, ...]:
-    """All n-cycles of S_n, in lexicographic image order."""
-    return tuple(p for p in symmetric_group(n) if p.cycle_count == 1)
+    """All n-cycles of S_n, in lexicographic image order, each built from
+    its cycle (1 a_2 ... a_n), so that building them decomposes nothing."""
+    if n < 1:
+        return ()
+    built = (Permutation.from_cycles(n, [(1,) + rest]) for rest in permutations(range(2, n + 1)))
+    return tuple(sorted(built, key=attrgetter("images")))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,12 @@
 Symbols are the integers 1..n throughout.  Products are read left to
 right: ``(p * q)(x) == q(p(x))``, i.e. apply ``p`` first, then ``q``.
 
+The values here are lean because factorisation records are validated on
+them once per record: a :class:`Permutation` computes its cycles at most
+once and keeps them, :meth:`Permutation.transposition` reads a bounded
+memo, and a :class:`Transposition` is an immutable ``(a, b)`` pair that
+costs one tuple to build.
+
 >>> str(Permutation.parse("(1 2)", 3) * Permutation.parse("(1 3)", 3))
 '(1 2 3)'
 """
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _iter_permutations
 from math import factorial
+from operator import itemgetter
 
 
 class DegreeMismatchError(ValueError):
@@ -78,7 +85,12 @@ class Partition:
         return Partition(tuple(int(tok) for tok in inner.split(",")))
 
 
-@lru_cache(maxsize=None)
+# Degrees whose partition lists ``partitions_of`` keeps; the package's loops
+# run over at most a dozen degrees.
+_PARTITIONS_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_PARTITIONS_CACHE_SIZE)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n`` in descending lexicographic order."""
 
@@ -97,16 +109,54 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 # permutations
 
 
-class Permutation:
-    """A bijection of {1..n}, stored as the tuple of images of 1, 2, ..., n."""
+def _cycles_of(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Cycles of the permutation with these images, each starting at its
+    smallest symbol, sorted by that symbol; fixed points included."""
+    seen = [False] * (len(images) + 1)
+    out = []
+    for start in range(1, len(images) + 1):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = images[start - 1]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = images[x - 1]
+        out.append(tuple(cyc))
+    return tuple(out)
 
-    __slots__ = ("images",)
+
+def _cycle_type_of(cycles) -> Partition:
+    return Partition(tuple(sorted(map(len, cycles), reverse=True)))
+
+
+class Permutation:
+    """A bijection of {1..n}, stored as the tuple of images of 1, 2, ..., n.
+
+    The cycles are computed on first use and kept, so ``cycles()``,
+    ``cycle_count``, ``cycle_type()`` and ``str()`` decompose each object
+    at most once.
+    """
+
+    __slots__ = ("images", "_cycles")
 
     def __init__(self, images) -> None:
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a bijection of [{len(images)}]: {images}")
         self.images = images
+        self._cycles = None
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation on images that are a bijection by construction (a
+        product, inverse or relabelling of permutations), unchecked."""
+        p = object.__new__(cls)
+        p.images = images
+        p._cycles = None
+        return p
 
     # construction -----------------------------------------------------
 
@@ -116,11 +166,7 @@ class Permutation:
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        if a == b or not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"bad transposition ({a} {b}) in S_{n}")
-        images = list(range(1, n + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls(images)
+        return _transposition(n, a, b)
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
@@ -174,23 +220,12 @@ class Permutation:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles (fixed points included), each starting at its smallest
         symbol, sorted by that symbol."""
-        seen = [False] * self.n
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            x = self.apply(start)
-            while x != start:
-                cyc.append(x)
-                seen[x - 1] = True
-                x = self.apply(x)
-            out.append(tuple(cyc))
-        return tuple(out)
+        if self._cycles is None:
+            self._cycles = _cycles_of(self.images)
+        return self._cycles
 
     def cycle_type(self) -> Partition:
-        return Partition(tuple(sorted((len(c) for c in self.cycles()), reverse=True)))
+        return _cycle_type_of(self.cycles())
 
     @property
     def cycle_count(self) -> int:
@@ -203,13 +238,13 @@ class Permutation:
         if self.n != other.n:
             raise DegreeMismatchError(f"S_{self.n} vs S_{other.n}")
         q = other.images
-        return Permutation(tuple(q[x - 1] for x in self.images))
+        return Permutation._trusted(tuple([q[x - 1] for x in self.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, v in enumerate(self.images):
             inv[v - 1] = i + 1
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def relabel(self, by: "Permutation") -> "Permutation":
         """The permutation whose cycles are this one's with every symbol
@@ -224,7 +259,7 @@ class Permutation:
         b = by.images
         for x in range(1, self.n + 1):
             out[b[x - 1] - 1] = b[self.images[x - 1] - 1]
-        return Permutation(out)
+        return Permutation._trusted(tuple(out))
 
     # protocol ---------------------------------------------------------
 
@@ -241,18 +276,35 @@ class Permutation:
         return f"Permutation.parse({str(self)!r})"
 
 
+# Transposition permutations kept by ``Permutation.transposition``: every
+# (a, b) in both orders up to degree 9 fits.
+_TRANSPOSITION_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_TRANSPOSITION_CACHE_SIZE)
+def _transposition(n: int, a: int, b: int) -> Permutation:
+    if a == b or not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"bad transposition ({a} {b}) in S_{n}")
+    images = list(range(1, n + 1))
+    images[a - 1], images[b - 1] = b, a
+    return Permutation(images)
+
+
 def symmetric_group(n: int):
     """Yield all of S_n in lexicographic image order."""
     for images in _iter_permutations(range(1, n + 1)):
         yield Permutation(images)
 
 
-@lru_cache(maxsize=None)
+# Every caller walks the classes of one degree before the next, so two
+# degrees suffice.
+@lru_cache(maxsize=2)
 def conjugacy_classes(n: int) -> dict[Partition, tuple[Permutation, ...]]:
     """Cycle type -> all members, in lexicographic image order."""
     out: dict[Partition, list[Permutation]] = {}
     for p in symmetric_group(n):
-        out.setdefault(p.cycle_type(), []).append(p)
+        # classified without caching cycles on the members the memo keeps
+        out.setdefault(_cycle_type_of(_cycles_of(p.images)), []).append(p)
     return {lam: tuple(members) for lam, members in out.items()}
 
 
@@ -300,39 +352,69 @@ def conjugating_permutation(src: Permutation, dst: Permutation) -> Permutation:
 # transpositions
 
 
-@dataclass(frozen=True, order=True)
-class Transposition:
-    """An unordered pair of distinct symbols, stored with ``a < b``."""
+def _among_transpositions(compare):
+    """The tuple ordering ``compare``, refused against anything but a
+    Transposition."""
 
-    a: int
-    b: int
+    def method(self, other) -> bool:
+        if other.__class__ is not Transposition:
+            raise TypeError(f"cannot order Transposition against {type(other).__name__}")
+        return compare(self, other)
 
-    def __post_init__(self) -> None:
-        a, b = self.a, self.b
+    return method
+
+
+class Transposition(tuple):
+    """An unordered pair of distinct symbols, stored with ``a < b``.
+
+    An immutable ``(a, b)`` tuple: equal, hashed and ordered as that pair,
+    but equal only to other transpositions, never to a plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> "Transposition":
         if a == b or a < 1 or b < 1:
             raise ValueError(f"bad transposition ({a} {b})")
-        if a > b:
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
-    def __contains__(self, s: int) -> bool:
-        return s == self.a or s == self.b
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    a = property(itemgetter(0), doc="The smaller symbol.")
+    b = property(itemgetter(1), doc="The larger symbol.")
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is Transposition and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return other.__class__ is not Transposition or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+    __lt__ = _among_transpositions(tuple.__lt__)
+    __le__ = _among_transpositions(tuple.__le__)
+    __gt__ = _among_transpositions(tuple.__gt__)
+    __ge__ = _among_transpositions(tuple.__ge__)
 
     def other(self, s: int) -> int:
-        if s == self.a:
-            return self.b
-        if s == self.b:
-            return self.a
+        a, b = self
+        if s == a:
+            return b
+        if s == b:
+            return a
         raise ValueError(f"{s} not in {self}")
 
     def as_permutation(self, n: int) -> Permutation:
-        return Permutation.transposition(n, self.a, self.b)
+        return _transposition(n, self[0], self[1])
 
     def relabel(self, by: Permutation) -> "Transposition":
-        return Transposition(by.apply(self.a), by.apply(self.b))
+        return Transposition(by.apply(self[0]), by.apply(self[1]))
 
     def __str__(self) -> str:
-        return f"({self.a} {self.b})"
+        return f"({self[0]} {self[1]})"
+
+    def __repr__(self) -> str:
+        return f"Transposition(a={self[0]}, b={self[1]})"
 
 
 def all_transpositions(n: int) -> tuple[Transposition, ...]:
@@ -362,7 +444,7 @@ class TotalOrder:
 
     @classmethod
     def natural(cls, n: int) -> "TotalOrder":
-        return cls(range(1, n + 1))
+        return _natural_order(n)
 
     @property
     def n(self) -> int:
@@ -404,6 +486,11 @@ class TotalOrder:
         return TotalOrder(tuple(int(tok) for tok in text.strip().split("<")))
 
 
+@lru_cache(maxsize=16)
+def _natural_order(n: int) -> TotalOrder:
+    return TotalOrder(range(1, n + 1))
+
+
 def order_from_conjugator(delta: Permutation) -> TotalOrder:
     """The order ``d^{-1}(1) < d^{-1}(2) < ... < d^{-1}(n)``.
 
@@ -417,7 +504,16 @@ def order_from_conjugator(delta: Permutation) -> TotalOrder:
 def sort_swaps(order: TotalOrder) -> tuple[int, ...]:
     """Adjacent-swap positions that bubble-sort ``order``'s sequence into the
     natural one, in the order the swaps are applied."""
-    seq = list(order.sequence)
+    return _bubble_sort_swaps(order.sequence)
+
+
+# Orders whose swap lists ``sort_swaps`` keeps: all of S_6's fit.
+_SORT_SWAPS_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_SORT_SWAPS_CACHE_SIZE)
+def _bubble_sort_swaps(sequence: tuple[int, ...]) -> tuple[int, ...]:
+    seq = list(sequence)
     swaps = []
     changed = True
     while changed:

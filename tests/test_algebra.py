@@ -7,11 +7,12 @@ oracle recomputes it by expanding words of star transpositions literally.
 
 import random
 import sys
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 
-from starfact import Partition, Permutation, partitions_of
+from starfact import Partition, Permutation, TotalOrder, factorisations, formulas, partitions_of, perms
 from starfact.algebra import (
     AlgebraElement,
     NotCentralError,
@@ -31,6 +32,8 @@ from starfact.algebra import (
     verify_corollary_1_6,
     verify_elementary_class_sums,
 )
+from starfact.formulas import recurrence_star
+from starfact.perms import _PARTITIONS_CACHE_SIZE, conjugacy_classes, sort_swaps
 from starfact.factorisations import (
     _WALK_CACHE_SIZE,
     _WALKS,
@@ -307,7 +310,27 @@ class TestTransitivityOperator:
         info = _transitive_monomial.cache_info()
         assert info.misses == info.currsize == len(sweep)
         assert _transitive_move_list.cache_info().currsize > 0
-        for memo in (_transitive_monomial, _monomial_value, _transitive_move_list):
+        # the value-type and class memos, driven past the degrees and orders
+        # the package uses
+        for n in range(1, 7):
+            assert sum(map(len, conjugacy_classes(n).values())) == factorial(n)
+            for seq in permutations(range(1, n + 1)):
+                sort_swaps(TotalOrder(seq))
+        for n in range(2, 12):
+            for a, b in permutations(range(1, n + 1), 2):
+                Permutation.transposition(n, a, b)
+            TotalOrder.natural(n)
+        for n in range(_PARTITIONS_CACHE_SIZE + 4):
+            partitions_of(n)
+        for total in range(1, 9):
+            for i in range(1, total + 1):
+                for alpha in partitions_of(total - i):
+                    recurrence_star(i, alpha, 3)
+        assert conjugacy_classes.cache_info().currsize == 2
+        for memo in (_transitive_monomial, _monomial_value, _transitive_move_list,
+                     conjugacy_classes, partitions_of, formulas._recurrence,
+                     perms._transposition, perms._bubble_sort_swaps, perms._natural_order,
+                     factorisations.full_cycles, factorisations._coding):
             assert memo.cache_info().maxsize is not None
             assert memo.cache_info().currsize <= memo.cache_info().maxsize
 

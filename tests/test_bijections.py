@@ -109,6 +109,28 @@ class TestMoves:
         )
         assert str(step) == "pos=2 move=RHM before=(1 3)(1 2) after=(2 3)(1 3)"
 
+    def test_step_equality(self):
+        before = (Transposition(1, 3), Transposition(1, 2))
+        after = (Transposition(2, 3), Transposition(1, 3))
+        step = TraceStep(2, "RHM", before, after)
+        assert step == TraceStep(2, "RHM", before, after)
+        assert step == TraceStep(pos=2, move="RHM", before=before, after=after)
+        assert hash(step) == hash(TraceStep(2, "RHM", before, after))
+        assert (step.pos, step.move, step.before, step.after) == (2, "RHM", before, after)
+        for other in [TraceStep(1, "RHM", before, after), TraceStep(2, "S2", before, after),
+                      TraceStep(2, "RHM", after, before)]:
+            assert step != other
+
+    def test_recorded_steps_render_as_before(self):
+        trace = []
+        out = gamma(StarFactorisation(3, 3, (1, 1, 1, 2, 1), perm("(1 2)(3)"), 1), trace)
+        assert out.to_line() == "(1 2 3)(1 2)(1 2)(1 3)"
+        assert [type(step) for step in trace] == [TraceStep, TraceStep]
+        assert [str(step) for step in trace] == [
+            "pos=3 move=LHM before=(1 3)(2 3) after=(2 3)(1 2)",
+            "pos=2 move=LHM before=(1 3)(2 3) after=(2 3)(1 2)",
+        ]
+
 
 class TestReplay:
     def test_replays_a_recorded_trace(self):

@@ -16,6 +16,7 @@ from starfact.algebra import (
     e,
     evaluate,
     format_class_decomposition,
+    jm_element,
     jm_var,
     p,
     transitive_evaluate,
@@ -298,6 +299,17 @@ class TestAlgebra:
         code, out, _ = run(capsys, "algebra", "--n", "3", "--expr", "e[1]^3000 - J[3]")
         assert code == 0
         assert out == self.rendered(element) + "\n"
+
+    def test_high_degree_generator(self, capsys):
+        # a monomial of degree past Python's recursion limit is built in a
+        # loop, one Jucys-Murphy factor at a time
+        j2, j3 = jm_element(3, 2), jm_element(3, 3)
+        code, out, err = run(capsys, "algebra", "--n", "3", "--expr", "p[1200]")
+        assert (code, err) == (0, "")
+        assert out == self.rendered(j2 ** 1200 + j3 ** 1200) + "\n"
+        code, out, err = run(capsys, "algebra", "--n", "2", "--expr", "h[1200]")
+        assert (code, out, err) == (0, self.rendered(jm_element(2, 2) ** 1200) + "\n", "")
+        assert out == "1*K[1,1]\n"
 
     def test_slot_beyond_degree_is_refused(self, capsys):
         code, _, err = run(capsys, "algebra", "--n", "3", "--expr", "J[4]^0")

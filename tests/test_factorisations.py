@@ -5,7 +5,11 @@ Counts are cross-checked against the brute-force tuple generators in
 verify suites and the acceptance tests.
 """
 
-from itertools import permutations
+import json
+import subprocess
+import sys
+import textwrap
+from itertools import permutations, product
 
 import pytest
 
@@ -31,6 +35,7 @@ from starfact.factorisations import (
 from starfact import factorisations
 from starfact.algebra import evaluate, h, jm_element
 from starfact.perms import (
+    all_transpositions,
     class_representative,
     class_size,
     conjugacy_classes,
@@ -541,3 +546,99 @@ class TestDpMatchesListingsInS5:
             assert count_monotone(ident, 1, order) == len(enumerate_monotone(ident, 1, order))
             assert len(factorisations._WALKS) <= factorisations._WALK_CACHE_SIZE
         assert len(factorisations._WALKS) == factorisations._WALK_CACHE_SIZE
+
+
+# Every record condition, the expression that breaks it, and the exception
+# it raises, with the message of the original checks.  Run in process and
+# under ``python -O``, which must not drop any of them.
+RECORD_CHECKS = [
+    ('star root range', 'StarFactorisation(3, 4, (1, 2, 1), perm("(1 2)(3)"), 0)', 'ValueError', 'root 4 outside [3]'),
+    ('star target degree', 'StarFactorisation(3, 3, (1, 2, 1), perm("(1 2)(3)(4)"), 0)', 'ValueError', 'target degree differs from n'),
+    ('star leg at root', 'StarFactorisation(3, 3, (1, 3, 2), perm("(1 2)(3)"), 0)', 'ValueError', 'legs must avoid the root and stay in [3]'),
+    ('star leg range', 'StarFactorisation(3, 3, (1, 4, 2), perm("(1 2)(3)"), 0)', 'ValueError', 'legs must avoid the root and stay in [3]'),
+    ("star S2'", 'StarFactorisation(3, 3, (1, 1, 1), perm("(1 2)(3)"), 0)', 'ConditionViolation', "condition S2' violated: (2 3) never appears"),
+    ('star S1', 'StarFactorisation(3, 3, (1, 2, 1, 1), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition S1 violated: length 4 != 3 + 2 - 2 + 2*0'),
+    ('star S1 negative genus', 'StarFactorisation(3, 3, (1, 2, 1), perm("(1 2)(3)"), -1)', 'ConditionViolation', 'condition S1 violated: length 3 != 3 + 2 - 2 + 2*-1'),
+    ('star product', 'StarFactorisation(3, 3, (1, 2, 2), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition product violated: factors do not multiply to (1 2)(3)'),
+    ("star from_legs S2'", 'StarFactorisation.from_legs(3, 3, (1, 1), perm("(2 3)", 3))', 'ConditionViolation', "condition S2' violated: (2 3) never appears"),
+    ('star from_legs S1', 'StarFactorisation.from_legs(3, 3, (1, 2, 1, 1), perm("(1 2)(3)"))', 'ConditionViolation', 'condition S1 violated: length 4 has no genus: 3 + 2 - 2 + 2g'),
+    ('monotone order degree', 'MonotoneFactorisation(3, TotalOrder.natural(4), (T(1, 2),), perm("(1 2)(3)"), 0)', 'ValueError', 'order/target degree differs from n'),
+    ('monotone target degree', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 2),), perm("(1 2)(3)(4)"), 0)', 'ValueError', 'order/target degree differs from n'),
+    ('monotone symbol range', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 4),), perm("(1 2)(3)"), 0)', 'ValueError', 'factor symbol outside [3]'),
+    ('monotone H2', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 3), T(1, 2)), perm("(1 3 2)"), 0)', 'ConditionViolation', 'condition H2 violated: larger symbols not weakly increasing under 1<2<3'),
+    ('monotone H2 other order', 'MonotoneFactorisation(3, TotalOrder.parse("3<2<1"), (T(1, 2), T(2, 3)), perm("(1 2 3)"), 0)', 'ConditionViolation', 'condition H2 violated: larger symbols not weakly increasing under 3<2<1'),
+    ('monotone H1', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 2),) * 3, perm("(1 2)", 3), 0)', 'ConditionViolation', 'condition H1 violated: length 3 != 3 - 2 + 2*0'),
+    ('monotone H1 negative genus', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 2),), perm("(1 2)", 3), -1)', 'ConditionViolation', 'condition H1 violated: length 1 != 3 - 2 + 2*-1'),
+    ('monotone product', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 3),), perm("(1 2)", 3), 0)', 'ConditionViolation', 'condition product violated: factors do not multiply to (1 2)(3)'),
+    ('monotone from_factors H1', 'MonotoneFactorisation.from_factors(3, TotalOrder.natural(3), (T(1, 2),) * 2, perm("(1 2)", 3))', 'ConditionViolation', 'condition H1 violated: length 2 has no genus: 3 - 2 + 2g'),
+    ('md sigma degree', 'MonotoneDoubleFactorisation(3, perm("(1 2 3 4)"), (), perm("(1 2 3)"), 0)', 'ValueError', 'sigma/target degree differs from n'),
+    ('md target degree', 'MonotoneDoubleFactorisation(3, perm("(1 2 3)"), (), perm("(1 2 3)(4)"), 0)', 'ValueError', 'sigma/target degree differs from n'),
+    ('md symbol range', 'MonotoneDoubleFactorisation(3, perm("(1 2 3)"), (T(1, 5),), perm("(1 2)(3)"), 0)', 'ValueError', 'factor symbol outside [3]'),
+    ('md H0', 'MonotoneDoubleFactorisation(3, perm("(1 2)(3)"), (T(1, 2),), perm("(1)(2)(3)"), 0)', 'ConditionViolation', 'condition H0 violated: (1 2)(3) is not a full cycle'),
+    ('md H1', 'MonotoneDoubleFactorisation(3, perm("(1 2 3)"), (T(1, 2),), perm("(1 2 3)"), 0)', 'ConditionViolation', 'condition H1 violated: tail length 1 != 1 - 1 + 2*0'),
+    ('md H1 negative genus', 'MonotoneDoubleFactorisation(3, perm("(1 2 3)"), (), perm("(1 2 3)"), -1)', 'ConditionViolation', 'condition H1 violated: tail length 0 != 1 - 1 + 2*-1'),
+    ('md H2', 'MonotoneDoubleFactorisation(3, perm("(1 2 3)"), (T(1, 3), T(1, 2)), perm("(1)(2)(3)"), 0)', 'ConditionViolation', 'condition H2 violated: larger symbols not weakly increasing'),
+    ('md product', 'MonotoneDoubleFactorisation(3, perm("(1 2 3)"), (T(1, 2),), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition product violated: factors do not multiply to (1 2)(3)'),
+    ('md from_factors H1', 'MonotoneDoubleFactorisation.from_factors(3, perm("(1 2 3)"), (T(1, 2),), perm("(1 2 3)"))', 'ConditionViolation', 'condition H1 violated: tail length 1 has no genus: 1 - 1 + 2g'),
+]
+
+RECORD_CHECK_PRELUDE = """
+from starfact.factorisations import (
+    MonotoneDoubleFactorisation, MonotoneFactorisation, StarFactorisation,
+)
+from starfact.perms import Permutation, TotalOrder, Transposition as T
+perm = Permutation.parse
+"""
+
+
+def _raised(code: str, namespace: dict) -> tuple[str, str] | None:
+    try:
+        eval(code, namespace)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestEveryRecordCheck:
+    @pytest.mark.parametrize("label, code, kind, message", RECORD_CHECKS,
+                             ids=[case[0] for case in RECORD_CHECKS])
+    def test_condition_raises_its_message(self, label, code, kind, message):
+        namespace: dict = {}
+        exec(RECORD_CHECK_PRELUDE, namespace)
+        assert _raised(code, namespace) == (kind, message)
+
+    def test_conditions_survive_optimisation(self):
+        script = textwrap.dedent(RECORD_CHECK_PRELUDE) + textwrap.dedent("""
+            import json, sys
+            def raised(code):
+                try:
+                    eval(code)
+                except Exception as exc:
+                    return [type(exc).__name__, str(exc)]
+            print(json.dumps([raised(code) for code in json.load(sys.stdin)]))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            input=json.dumps([code for _, code, _, _ in RECORD_CHECKS]),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[kind, message] for _, _, kind, message in RECORD_CHECKS]
+
+
+class TestProduct:
+    def test_left_to_right_fold_of_every_short_sequence_in_s4(self):
+        n = 4
+        firsts = list(symmetric_group(n))
+        seen = 0
+        for length in range(5):
+            for seq in product(all_transpositions(n), repeat=length):
+                fold = Permutation.identity(n)
+                for t in seq:
+                    fold = fold * t.as_permutation(n)
+                assert factorisations._product(n, seq) == fold.images
+                assert factorisations._product(n, ((t.a, t.b) for t in seq)) == fold.images
+                first = firsts[seen % len(firsts)]
+                assert factorisations._product(n, seq, first) == (first * fold).images
+                seen += 1
+        assert seen == 1 + 6 + 6**2 + 6**3 + 6**4

@@ -1,5 +1,9 @@
 """Core permutation, partition, transposition and order machinery."""
 
+import copy
+import pickle
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +77,83 @@ class TestPermutation:
         assert Permutation.from_cycles(w.n, w.cycles()) == w
 
 
+def fresh_cycles(images):
+    """Cycles of a permutation, recomputed here from its images."""
+    out, seen = [], set()
+    for start in range(1, len(images) + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        while images[cycle[-1] - 1] != start:
+            cycle.append(images[cycle[-1] - 1])
+            seen.add(cycle[-1])
+        out.append(tuple(cycle))
+    return tuple(out)
+
+
+class TestCycleCache:
+    """Cycles are computed once per object and kept; every query must still
+    agree with a fresh decomposition, whichever constructor made the object
+    and whichever query comes first."""
+
+    QUERIES = {
+        "cycles": lambda w: w.cycles(),
+        "cycle_count": lambda w: w.cycle_count,
+        "cycle_type": lambda w: w.cycle_type(),
+        "str": str,
+    }
+
+    @staticmethod
+    def expected(images):
+        cycles = fresh_cycles(images)
+        return {
+            "cycles": cycles,
+            "cycle_count": len(cycles),
+            "cycle_type": Partition(tuple(sorted(map(len, cycles), reverse=True))),
+            "str": "".join("(" + " ".join(map(str, c)) + ")" for c in cycles),
+        }
+
+    def built(self, n, images):
+        """The permutation with these images from every constructor."""
+        w = Permutation(images)
+        rotation = Permutation(tuple(range(2, n + 1)) + (1,))
+        yield "__init__", w
+        yield "__mul__", rotation * w
+        yield "inverse", w.inverse()
+        yield "relabel", w.relabel(rotation)
+        yield "from_cycles", Permutation.from_cycles(n, fresh_cycles(images))
+        yield "parse", Permutation.parse(self.expected(images)["str"], n)
+
+    def check(self, w, first: str, where) -> None:
+        want = self.expected(w.images)
+        order = [first] + [q for q in self.QUERIES if q != first]
+        for _ in range(2):
+            for query in order:
+                assert self.QUERIES[query](w) == want[query], (where, query)
+        assert w.cycles() is w.cycles()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_constructor_on_the_whole_group(self, n):
+        firsts = list(self.QUERIES)
+        for i, images in enumerate(permutations(range(1, n + 1))):
+            for how, w in self.built(n, images):
+                self.check(w, firsts[i % len(firsts)], (images, how))
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if a != b:
+                    w = Permutation.transposition(n, a, b)
+                    self.check(w, firsts[(a + b) % len(firsts)], (n, a, b))
+                    assert Transposition(a, b).as_permutation(n) == w
+
+    def test_transposition_memo_still_refuses(self):
+        assert Permutation.transposition(4, 3, 1) is Permutation.transposition(4, 3, 1)
+        with pytest.raises(ValueError, match=r"bad transposition \(2 2\) in S_4"):
+            Permutation.transposition(4, 2, 2)
+        with pytest.raises(ValueError, match=r"bad transposition \(1 5\) in S_4"):
+            Transposition(1, 5).as_permutation(4)
+
+
 class TestPartition:
     def test_parse_and_str(self):
         assert str(Partition.parse("[3,1,1]")) == "[3,1,1]"
@@ -132,6 +213,49 @@ class TestTransposition:
 
     def test_all_transpositions(self):
         assert len(all_transpositions(5)) == 10
+
+    def test_equality_and_hash_ignore_argument_order(self):
+        assert Transposition(3, 1) == Transposition(1, 3)
+        assert not Transposition(3, 1) != Transposition(1, 3)
+        assert hash(Transposition(3, 1)) == hash(Transposition(1, 3)) == hash((1, 3))
+        assert Transposition(1, 2) != Transposition(1, 3)
+        assert len({Transposition(a, b) for a in range(1, 5) for b in range(1, 5) if a != b}) == 6
+
+    def test_never_equal_to_a_plain_pair(self):
+        t = Transposition(1, 2)
+        assert t != (1, 2) and (1, 2) != t
+        assert not t == (1, 2) and not (1, 2) == t
+        assert t != "(1 2)"
+
+    def test_ordering_is_by_pair(self):
+        ts = all_transpositions(5)
+        assert ts == tuple(sorted(ts, key=lambda t: (t.a, t.b)))
+        assert sorted(reversed(ts)) == list(ts)
+        assert Transposition(1, 3) < Transposition(2, 3) <= Transposition(3, 2)
+        assert Transposition(1, 3) > Transposition(1, 2) >= Transposition(2, 1)
+
+    @pytest.mark.parametrize("compare", ["<", "<=", ">", ">="])
+    def test_ordering_refuses_other_types(self, compare):
+        for left, right in [(Transposition(1, 2), (1, 3)), ((1, 3), Transposition(1, 2))]:
+            with pytest.raises(TypeError):
+                eval(f"left {compare} right")
+
+    def test_str_and_repr(self):
+        assert str(Transposition(3, 1)) == "(1 3)"
+        assert repr(Transposition(3, 1)) == "Transposition(a=1, b=3)"
+
+    @pytest.mark.parametrize("a, b", [(2, 2), (0, 1), (1, 0), (-1, 2), (0, 0)])
+    def test_refuses_bad_pairs(self, a, b):
+        with pytest.raises(ValueError, match=rf"^bad transposition \({a} {b}\)$"):
+            Transposition(a, b)
+
+    def test_immutable_and_copyable(self):
+        t = Transposition(4, 2)
+        with pytest.raises(AttributeError):
+            t.a = 1
+        assert (t.a, t.b) == (2, 4)
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert copy.deepcopy(t) == t and type(copy.copy(t)) is Transposition
 
 
 class TestTotalOrder:
