@@ -16,20 +16,21 @@ over monomials but deliberately NOT an algebra homomorphism; see
 
 Plain values are products of ``AlgebraElement``s; a product composes each
 left term with every right term through one ``operator.itemgetter`` built
-for the left term, so the composition runs at C level.  Transitive values
-of a monomial come from the layered walk of ``factorisations`` over
-(prefix product, connectivity blocks).  The moves out of a state depend
-only on its block labels and the slot in play, so every walk reads them
-from one shared memo, ``_transitive_move_list``, of at most
-``_MOVE_LIST_CACHE_SIZE`` lists; ``method="expand"`` enumerates the tuples
-literally instead, as an independent cross-check.  Both monomial memos keep
-at most ``_MONOMIAL_CACHE_SIZE`` monomials.
+for the left term, so the composition runs at C level.  The slots commute,
+so ``evaluate`` may regroup the expansion: it sums slot 2 against one table
+of its powers and folds each later slot in by Horner's rule, with no memo.
+Transitive values of a monomial come from the layered walk of
+``factorisations`` over (prefix product, connectivity blocks), kept by one
+memo, ``_transitive_monomial``, of at most ``_MONOMIAL_CACHE_SIZE``
+monomials.  The moves out of a state depend only on its block labels and
+the slot in play, so every walk reads them from one shared memo,
+``_transitive_move_list``, of at most ``_MOVE_LIST_CACHE_SIZE`` lists.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations
 from operator import add, itemgetter
 
 from .factorisations import _coding, _join, _walk
@@ -217,14 +218,12 @@ class SymExpr:
         return _Sum(_as_expr(other), self)
 
     def __sub__(self, other):
-        return _Sum(self, _Scaled(-1, _as_expr(other)))
+        return _Sum(self, _Prod(_Scalar(-1), _as_expr(other)))
 
     def __mul__(self, other):
         return _Prod(self, _as_expr(other))
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return _Scaled(other, self)
         return _Prod(_as_expr(other), self)
 
     def __pow__(self, k: int):
@@ -246,18 +245,7 @@ class _Scalar(SymExpr):
         self.c = c
 
     def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        if not self.c:
-            return {}
-        return {(0,) * (n - 1): self.c}
-
-
-class _Scaled(SymExpr):
-    def __init__(self, c: int, inner: SymExpr) -> None:
-        self.c = c
-        self.inner = inner
-
-    def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        return {k: self.c * v for k, v in self.inner.expand(n).items() if self.c * v}
+        return {(0,) * (n - 1): self.c} if self.c else {}
 
 
 class _Sum(SymExpr):
@@ -344,28 +332,26 @@ class _Gen(SymExpr):
         raise AssertionError(self.kind)
 
 
-def e(*parts: int) -> SymExpr:
-    """Product of elementary symmetric polynomials, one per part."""
+def _gen_product(kind: str, parts: tuple[int, ...]) -> SymExpr:
     out: SymExpr = _Scalar(1)
     for k in parts:
-        out = _Prod(out, _Gen("e", k))
+        out = _Prod(out, _Gen(kind, k))
     return out
+
+
+def e(*parts: int) -> SymExpr:
+    """Product of elementary symmetric polynomials, one per part."""
+    return _gen_product("e", parts)
 
 
 def h(*parts: int) -> SymExpr:
     """Product of complete homogeneous symmetric polynomials."""
-    out: SymExpr = _Scalar(1)
-    for k in parts:
-        out = _Prod(out, _Gen("h", k))
-    return out
+    return _gen_product("h", parts)
 
 
 def p(*parts: int) -> SymExpr:
     """Product of power sums."""
-    out: SymExpr = _Scalar(1)
-    for k in parts:
-        out = _Prod(out, _Gen("p", k))
-    return out
+    return _gen_product("p", parts)
 
 
 def jm_var(k: int) -> SymExpr:
@@ -391,44 +377,38 @@ class _SlotVar(SymExpr):
 # evaluation, plain and transitive
 
 
-# Monomial values kept by each of the two memos below; the largest uses in
-# the package need fewer: 786 for verify theorem-1.7 at its caps, 715 for
-# experiment span-dimension at n = 5.
-_MONOMIAL_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
-def _monomial_value(n: int, exps: tuple[int, ...]) -> AlgebraElement:
-    """The monomial with one factor of its last slot fewer, times that
-    slot's Jucys-Murphy element.  Only ``_monomial`` calls this, in an
-    order that finds the smaller monomial in the memo."""
-    last = max((i for i, a in enumerate(exps) if a), default=-1)
-    if last < 0:
-        return AlgebraElement.one(n)
-    smaller = list(exps)
-    smaller[last] -= 1
-    return _monomial_value(n, tuple(smaller)) * jm_element(n, last + 2)
-
-
-def _monomial(n: int, exps: tuple[int, ...]) -> AlgebraElement:
-    """Value of a canonical monomial, built up one factor at a time in a
-    loop: each prefix is asked for after the one before it, which the memo
-    then holds, so no call nests deeper than one level whatever the degree."""
-    prefix = [0] * len(exps)
-    value = _monomial_value(n, tuple(prefix))
-    for i, a in enumerate(exps):
-        for _ in range(a):
-            prefix[i] += 1
-            value = _monomial_value(n, tuple(prefix))
-    return value
-
-
 def evaluate(expr: SymExpr, n: int) -> AlgebraElement:
-    """Evaluate an expression at the slot-2..n Jucys-Murphy elements."""
-    out = AlgebraElement.zero(n)
-    for exps, coeff in expr.expand(n).items():
-        out = out + coeff * _monomial(n, exps)
-    return out
+    """Evaluate an expression at the slot-2..n Jucys-Murphy elements.
+
+    The slots commute, so the expansion is regrouped by the exponents of
+    the slots not yet folded in.  Slot 2's scalar coefficients are summed
+    against a table of its powers; by Horner's rule, each later slot j folds
+    the elements c_0..c_top sharing a suffix into c_0 + J_j(c_1 + J_j(...)).
+    """
+    terms = expr.expand(n)
+    zero = AlgebraElement.zero(n)
+    if n == 1:
+        return sum(terms.values()) * AlgebraElement.one(1)
+    powers = [AlgebraElement.one(n)]
+    slot = jm_element(n, 2)
+    for _ in range(max((exps[0] for exps in terms), default=0)):
+        powers.append(slot * powers[-1])
+    rest: dict[tuple[int, ...], AlgebraElement] = {}
+    for exps, coeff in terms.items():
+        rest[exps[1:]] = rest.get(exps[1:], zero) + coeff * powers[exps[0]]
+    for j in range(3, n + 1):
+        slot = jm_element(n, j)
+        by_suffix: dict[tuple[int, ...], dict[int, AlgebraElement]] = {}
+        for exps, value in rest.items():
+            by_suffix.setdefault(exps[1:], {})[exps[0]] = value
+        rest = {}
+        for suffix, coeffs in by_suffix.items():
+            top = max(coeffs)
+            acc = coeffs[top]
+            for a in range(top - 1, -1, -1):
+                acc = slot * acc + coeffs.get(a, zero)
+            rest[suffix] = acc
+    return rest.get((), zero)
 
 
 # Move lists kept by ``_transitive_move_list``; the largest uses in the package
@@ -453,6 +433,12 @@ def _transitive_moves(slots: tuple[int, ...], aux):
             for i, joined in enumerate(_transitive_move_list(blocks, j), 1)]
 
 
+# Monomial values kept by ``_transitive_monomial``; the largest uses in the
+# package need fewer: 786 for verify theorem-1.7 at its caps, 715 for
+# experiment span-dimension at n = 5.
+_MONOMIAL_CACHE_SIZE = 1024
+
+
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
 def _transitive_monomial(n: int, exps: tuple[int, ...]) -> dict:
     """Transitive part of a canonical monomial: the layered walk over
@@ -466,47 +452,14 @@ def _transitive_monomial(n: int, exps: tuple[int, ...]) -> dict:
     return {tuple(perms[r]): c for r, c in layer.get((len(slots), (0,) * n), {}).items()}
 
 
-def _transitive_monomial_expand(n: int, exps: tuple[int, ...]) -> dict:
-    """Same transitive part by literal tuple enumeration; cross-check only."""
-    slots: list[int] = []
-    for slot_index, mult in enumerate(exps):
-        slots.extend([slot_index + 2] * mult)
-    choice_sets = [range(1, j) for j in slots]
-    out: dict[tuple[int, ...], int] = {}
-    for picks in product(*choice_sets):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        images = list(range(1, n + 1))
-        for i, j in zip(picks, slots):
-            for idx, v in enumerate(images):
-                if v == i:
-                    images[idx] = j
-                elif v == j:
-                    images[idx] = i
-            parent[find(i - 1)] = find(j - 1)
-        if len({find(s) for s in range(n)}) == 1:
-            key = tuple(images)
-            out[key] = out.get(key, 0) + 1
-    return out
-
-
-def transitive_evaluate(expr: SymExpr, n: int, method: str = "dp") -> AlgebraElement:
+def transitive_evaluate(expr: SymExpr, n: int) -> AlgebraElement:
     """Apply the transitivity operator to the canonical expansion of ``expr``
     and evaluate.  Linear over monomials; NOT multiplicative across them, so
     the result depends on the expression only through its expansion.
     """
-    if method not in ("dp", "expand"):
-        raise ValueError(f"unknown method {method!r}")
-    fn = _transitive_monomial if method == "dp" else _transitive_monomial_expand
     total: dict[tuple[int, ...], int] = {}
     for exps, coeff in expr.expand(n).items():
-        for images, cnt in fn(n, exps).items():
+        for images, cnt in _transitive_monomial(n, exps).items():
             total[images] = total.get(images, 0) + coeff * cnt
     return AlgebraElement(n, total)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import re
 import sys
 
@@ -870,7 +871,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as ``| head`` does: stop quietly,
+        # with stdout on the null device so the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, permutations
 from operator import attrgetter, methodcaller
 
@@ -136,7 +136,7 @@ class StarFactorisation:
         return cls(n, root, legs, target,
                    _genus("S1", "length", len(legs), n + c - 2, f"{n} + {c} - 2"))
 
-    @property
+    @cached_property
     def factors(self) -> tuple[Transposition, ...]:
         return tuple(Transposition(a, self.root) for a in self.legs)
 

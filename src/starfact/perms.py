@@ -137,7 +137,8 @@ class Permutation:
 
     The cycles are computed on first use and kept, so ``cycles()``,
     ``cycle_count``, ``cycle_type()`` and ``str()`` decompose each object
-    at most once.
+    at most once.  Neither the images nor the kept cycles can be assigned
+    after construction, so the two always agree.
     """
 
     __slots__ = ("images", "_cycles")
@@ -146,17 +147,24 @@ class Permutation:
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a bijection of [{len(images)}]: {images}")
-        self.images = images
-        self._cycles = None
+        _set_images(self, images)
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """A permutation on images that are a bijection by construction (a
         product, inverse or relabelling of permutations), unchecked."""
         p = object.__new__(cls)
-        p.images = images
-        p._cycles = None
+        _set_images(p, images)
         return p
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a Permutation is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a Permutation is immutable")
+
+    def __reduce__(self):
+        return (self.__class__, (self.images,))
 
     # construction -----------------------------------------------------
 
@@ -220,9 +228,12 @@ class Permutation:
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles (fixed points included), each starting at its smallest
         symbol, sorted by that symbol."""
-        if self._cycles is None:
-            self._cycles = _cycles_of(self.images)
-        return self._cycles
+        try:
+            return self._cycles
+        except AttributeError:  # first use: the slot is still empty
+            cycles = _cycles_of(self.images)
+            _set_cycles(self, cycles)
+            return cycles
 
     def cycle_type(self) -> Partition:
         return _cycle_type_of(self.cycles())
@@ -274,6 +285,11 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation.parse({str(self)!r})"
+
+
+# The slots' own setters: the only writes that pass ``Permutation.__setattr__``.
+_set_images = Permutation.images.__set__
+_set_cycles = Permutation._cycles.__set__
 
 
 # Transposition permutations kept by ``Permutation.transposition``: every

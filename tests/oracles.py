@@ -112,6 +112,20 @@ def jm_power_table(n: int, k: int, length: int) -> dict[Permutation, int]:
     return table
 
 
+def transitive_monomial(n: int, exps: tuple[int, ...]) -> dict[Permutation, int]:
+    """Transitive part of the canonical monomial with these exponents for
+    slots 2..n: every word picking (i j), i < j, once per factor of slot j,
+    slots ascending, kept when its transpositions span {1..n}."""
+    slots = [j for j, mult in enumerate(exps, 2) for _ in range(mult)]
+    table: dict[Permutation, int] = {}
+    for picks in product(*(range(1, j) for j in slots)):
+        word = [Transposition(i, j) for i, j in zip(picks, slots)]
+        if spans_all(n, word):
+            prod = compose_all(n, [t.as_permutation(n) for t in word])
+            table[prod] = table.get(prod, 0) + 1
+    return table
+
+
 def set_partitions(items: tuple):
     """All set partitions, as tuples of frozensets."""
     if not items:

@@ -5,6 +5,8 @@ The frozen fourth-power table guards against sign or convention drift; the
 oracle recomputes it by expanding words of star transpositions literally.
 """
 
+import importlib
+import pkgutil
 import random
 import sys
 from itertools import permutations, product
@@ -12,11 +14,11 @@ from math import factorial
 
 import pytest
 
-from starfact import Partition, Permutation, TotalOrder, factorisations, formulas, partitions_of, perms
+import starfact
+from starfact import Partition, Permutation, TotalOrder, partitions_of
 from starfact.algebra import (
     AlgebraElement,
     NotCentralError,
-    _monomial_value,
     _transitive_monomial,
     _transitive_move_list,
     class_sum,
@@ -38,13 +40,14 @@ from starfact.factorisations import (
     _WALK_CACHE_SIZE,
     _WALKS,
     count_double_hurwitz,
+    count_monotone,
     count_monotone_double,
     count_star,
     star_length,
 )
 from starfact.perms import class_representative, symmetric_group
 
-from oracles import jm_power_table
+from oracles import jm_power_table, transitive_monomial
 
 
 def perm(text, n=None):
@@ -229,6 +232,45 @@ class TestSymbolicEvaluation:
         top = transitive_evaluate(jm_var(3) ** k, 3)
         assert sum(top.terms.values()) == 2**k - 2
 
+    def test_monomials_match_explicit_products(self):
+        # the canonical product, slots ascending, against the regrouped fold
+        for n, exps in monomials(5, 5):
+            expr, expected = e(), AlgebraElement.one(n)
+            for j, a in enumerate(exps, 2):
+                expr = expr * jm_var(j) ** a
+                expected = expected * jm_element(n, j) ** a
+            assert evaluate(expr, n) == expected, (n, exps)
+            assert evaluate(-3 * expr, n) == -3 * expected, (n, exps)
+
+    def test_mixed_polynomials_match_explicit_products(self):
+        # coefficients spread over shared and unshared exponent suffixes
+        rng = random.Random(5)
+        for n in (2, 3, 4, 5):
+            for _ in range(10):
+                expr, expected = e() - 1, AlgebraElement.zero(n)
+                for _ in range(rng.randint(1, 6)):
+                    coeff = rng.choice([-2, -1, 1, 3])
+                    term, value = e(), AlgebraElement.one(n)
+                    for j in range(2, n + 1):
+                        a = rng.randint(0, 3)
+                        term = term * jm_var(j) ** a
+                        value = value * jm_element(n, j) ** a
+                    expr = expr + coeff * term
+                    expected = expected + coeff * value
+                assert evaluate(expr, n) == expected, n
+
+    def test_high_degree_matches_the_monotone_dp(self):
+        # h_k at the slots has, at w, the monotone count with 3 - c + 2g = k
+        k = 1200
+        got = evaluate(h(k), 3)
+        for w in symmetric_group(3):
+            twice_g = k - 3 + w.cycle_count
+            expected = count_monotone(w, twice_g // 2) if twice_g % 2 == 0 else 0
+            assert got.coefficient(w) == expected, w
+        # the augmentation (every permutation to 1) sends J_j to j - 1, and
+        # h_k(1, 2) is 2^(k + 1) - 1
+        assert sum(got.terms.values()) == 2 ** (k + 1) - 1
+
     def test_expression_arithmetic_matches_algebra(self):
         n = 4
         lhs = evaluate((e(1) + 2) * h(1) - p(2), n)
@@ -280,15 +322,15 @@ class TestTransitivityOperator:
         assert format_class_decomposition(got.decompose()) == "3*K[3,1] + 4*K[2,2]"
 
     def test_methods_agree(self):
+        # the layered walk against literal enumeration of the spanning words
         for n, exps in monomials(5, 5):
             expr = e()  # the empty product
             for j, a in enumerate(exps, 2):
                 expr = expr * jm_var(j) ** a
-            assert transitive_evaluate(expr, n, method="dp") == transitive_evaluate(
-                expr, n, method="expand"
-            ), (n, exps)
-        with pytest.raises(ValueError):
-            transitive_evaluate(e(1), 3, method="fast")
+            expected = AlgebraElement(
+                n, {w.images: c for w, c in transitive_monomial(n, exps).items()}
+            )
+            assert transitive_evaluate(expr, n) == expected, (n, exps)
 
     def test_caches_stay_bounded(self):
         _transitive_monomial.cache_clear()
@@ -327,12 +369,19 @@ class TestTransitivityOperator:
                 for alpha in partitions_of(total - i):
                     recurrence_star(i, alpha, 3)
         assert conjugacy_classes.cache_info().currsize == 2
-        for memo in (_transitive_monomial, _monomial_value, _transitive_move_list,
-                     conjugacy_classes, partitions_of, formulas._recurrence,
-                     perms._transposition, perms._bubble_sort_swaps, perms._natural_order,
-                     factorisations.full_cycles, factorisations._coding):
-            assert memo.cache_info().maxsize is not None
-            assert memo.cache_info().currsize <= memo.cache_info().maxsize
+        # every module-level memo of the package, found rather than listed,
+        # so a new unbounded one fails here
+        memos = {
+            obj
+            for info in pkgutil.iter_modules(starfact.__path__, "starfact.")
+            for obj in vars(importlib.import_module(info.name)).values()
+            if hasattr(obj, "cache_info")
+        }
+        assert {_transitive_monomial, _transitive_move_list, conjugacy_classes} <= memos
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.maxsize is not None, memo.__qualname__
+            assert info.currsize <= info.maxsize, memo.__qualname__
 
     def test_linear_over_expansion(self):
         n = 4

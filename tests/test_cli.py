@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from starfact import cli
+from starfact import Permutation, cli, count_monotone
 from starfact.algebra import (
     NotCentralError,
     e,
@@ -301,8 +301,8 @@ class TestAlgebra:
         assert out == self.rendered(element) + "\n"
 
     def test_high_degree_generator(self, capsys):
-        # a monomial of degree past Python's recursion limit is built in a
-        # loop, one Jucys-Murphy factor at a time
+        # a generator of degree past Python's recursion limit is evaluated in
+        # loops, one Jucys-Murphy factor at a time
         j2, j3 = jm_element(3, 2), jm_element(3, 3)
         code, out, err = run(capsys, "algebra", "--n", "3", "--expr", "p[1200]")
         assert (code, err) == (0, "")
@@ -310,6 +310,16 @@ class TestAlgebra:
         code, out, err = run(capsys, "algebra", "--n", "2", "--expr", "h[1200]")
         assert (code, out, err) == (0, self.rendered(jm_element(2, 2) ** 1200) + "\n", "")
         assert out == "1*K[1,1]\n"
+
+    def test_high_degree_complete_polynomial(self, capsys):
+        # 1201 monomials, each of degree past Python's recursion limit; the
+        # class coefficients are monotone counts of genus 600 (identity) and
+        # 599 (3-cycles)
+        code, out, err = run(capsys, "algebra", "--n", "3", "--expr", "h[1200]")
+        assert (code, err) == (0, "")
+        ident, cycle = Permutation.identity(3), Permutation.parse("(1 2 3)")
+        assert out == (f"{count_monotone(ident, 600)}*K[1,1,1] + "
+                       f"{count_monotone(cycle, 599)}*K[3]\n")
 
     def test_slot_beyond_degree_is_refused(self, capsys):
         code, _, err = run(capsys, "algebra", "--n", "3", "--expr", "J[4]^0")
@@ -486,3 +496,21 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "family=star target=(1 2)(3) root=3 genus=0\nmethod=dp count=2\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader stops after one line, as ``| head -1`` does; the listing is
+    # far larger than a pipe's buffer, so the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "starfact.cli", "list", "--family", "star",
+         "--partition", "[1,1,1,1]", "--genus", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first == "(1 4)(1 4)(1 4)(1 4)(1 4)(1 4)(2 4)(2 4)(3 4)(3 4)\n"
+    assert (proc.wait(), err) == (1, "")

@@ -5,7 +5,9 @@ Counts are cross-checked against the brute-force tuple generators in
 verify suites and the acceptance tests.
 """
 
+import copy
 import json
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -71,6 +73,19 @@ class TestStarRecord:
             Transposition(1, 3),
         )
         assert f.to_line() == "(1 3)(2 3)(1 3)"
+
+    def test_factors_are_built_once(self):
+        f = StarFactorisation(3, 3, (1, 2, 1), perm("(1 2)(3)"), 0)
+        assert f.factors is f.factors
+        # the kept tuple is no field: equality, hash, repr and pickling
+        # see the same record before and after it is read
+        g = StarFactorisation(3, 3, (1, 2, 1), perm("(1 2)(3)"), 0)
+        assert (f, hash(f), repr(f)) == (g, hash(g), repr(g))
+        h = pickle.loads(pickle.dumps(f))
+        assert h == f and h.factors == f.factors
+        assert copy.deepcopy(g) == g
+        with pytest.raises(AttributeError):
+            f.legs = (2, 1, 2)
 
     def test_coverage_reported_before_length(self):
         # legs (1, 1) miss symbol 2 and have the wrong parity; coverage wins

@@ -146,6 +146,29 @@ class TestCycleCache:
                     self.check(w, firsts[(a + b) % len(firsts)], (n, a, b))
                     assert Transposition(a, b).as_permutation(n) == w
 
+    def test_images_and_cycles_cannot_be_reassigned(self):
+        w = Permutation.parse("(1 2 3)(4)")
+        assert w.cycle_count == 2
+        with pytest.raises(AttributeError):
+            w.images = (1, 2, 3, 4)
+        with pytest.raises(AttributeError):
+            w._cycles = ((1,), (2,), (3,), (4,))
+        with pytest.raises(AttributeError):
+            del w.images
+        assert w.images == (2, 3, 1, 4)
+        assert (str(w), w.cycle_count) == ("(1 2 3)(4)", 2)
+
+    @pytest.mark.parametrize("read_cycles_first", [False, True])
+    def test_pickle_and_copy(self, read_cycles_first):
+        w = Permutation.parse("(1 3)(2 4 5)")
+        if read_cycles_first:
+            w.cycles()
+        for twin in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w), copy.copy(w)):
+            assert type(twin) is Permutation and twin == w and hash(twin) == hash(w)
+            assert twin.cycles() == ((1, 3), (2, 4, 5))
+            with pytest.raises(AttributeError):
+                twin.images = w.images
+
     def test_transposition_memo_still_refuses(self):
         assert Permutation.transposition(4, 3, 1) is Permutation.transposition(4, 3, 1)
         with pytest.raises(ValueError, match=r"bad transposition \(2 2\) in S_4"):
