@@ -122,8 +122,11 @@ def _parse_factors(text: str) -> tuple[Transposition, ...]:
     return tuple(out)
 
 
-def _check_bound(args, name: str, value: int, cap: int, what: str) -> None:
-    if value > cap and not args.unsafe_bounds:
+def _check_bound(args, name: str, value: int, cap: int | None, what: str) -> None:
+    least = 1 if name in ("n", "nmax") else 0
+    if value < least:
+        raise UsageError(f"--{name} must be at least {least} (got {value})")
+    if cap is not None and value > cap and not args.unsafe_bounds:
         raise UsageError(
             f"bound exceeded for {what}: {name} <= {cap} (got {name}={value}); "
             "pass --unsafe-bounds to override"
@@ -564,8 +567,6 @@ def _contains_t(node) -> bool:
 
 def cmd_algebra(args) -> int:
     n = args.n
-    if n < 1:
-        raise UsageError("--n must be positive")
     node = parse_expression(args.expr)
     if _contains_t(node):
         _check_bound(args, "n", n, _ALGEBRA_T_N_CAP, "transitive evaluation")
@@ -615,9 +616,7 @@ def cmd_verify(args) -> int:
             continue
         if name not in spec.defaults:
             raise UsageError(f"suite {args.suite} takes no --{name}")
-        cap = spec.caps.get(name)
-        if cap is not None:
-            _check_bound(args, name, value, cap, f"suite {args.suite}")
+        _check_bound(args, name, value, spec.caps.get(name), f"suite {args.suite}")
         overrides[name] = value
     report = run_suite(args.suite, **overrides)
     config = {"suite": args.suite, **spec.defaults, **overrides}
@@ -718,9 +717,9 @@ def _span_dimension(vectors: list[list[int]]) -> int:
 def cmd_experiment(args) -> int:
     n = args.n
     cap = _EXPERIMENT_N_CAP[args.name]
-    _check_bound(args, "n", n, cap, f"experiment {args.name}")
     if n < 2:
         raise UsageError("--n must be at least 2")
+    _check_bound(args, "n", n, cap, f"experiment {args.name}")
     config = {"name": args.name, "n": n}
 
     if args.name == "t-basis-agreement":

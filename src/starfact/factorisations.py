@@ -26,10 +26,11 @@ sequences; each is then built once into a validated record.  The counters
 share one layered walk over (prefix product, aux), where the product is its
 rank in S_n, moved by a per-degree table act[(a, b)][rank], and aux is the
 covered-leg bitmask (star), 0 (unconstrained star), the least order rank
-of the next factor (monotone, monotone double) or the orbit block labels
-(double Hurwitz).  The transitive part of a Jucys-Murphy monomial in
-``algebra`` runs on the same walk, with aux (slot position, block labels).
-One cache keeps the ``_WALK_CACHE_SIZE`` most recently used walks.
+of the next factor (monotone; monotone double reads the natural walk
+summed over the full-cycle class) or the orbit block labels (double
+Hurwitz).  The transitive part of a Jucys-Murphy monomial in ``algebra``
+runs on the same walk, with aux (slot position, block labels).  One cache
+keeps the ``_WALK_CACHE_SIZE`` most recently used walks.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import combinations, permutations
-from operator import attrgetter, methodcaller
+from itertools import combinations, permutations, repeat
+from operator import attrgetter, itemgetter, methodcaller
 
 from .perms import (
     Partition,
@@ -269,6 +270,11 @@ def full_cycles(n: int) -> tuple[Permutation, ...]:
     return tuple(sorted(built, key=attrgetter("images")))
 
 
+@lru_cache(maxsize=2)
+def _full_cycle_images(n: int) -> tuple[bytes, ...]:
+    return tuple(bytes(c.images) for c in full_cycles(n))
+
+
 # ---------------------------------------------------------------------------
 # the layered walk behind every counter
 
@@ -279,16 +285,18 @@ _WALKS: OrderedDict[tuple, tuple[list[dict], dict]] = OrderedDict()
 
 
 @lru_cache(maxsize=2)
-def _coding(n: int) -> tuple[dict[bytes, int], dict[tuple[int, int], list[int]]]:
+def _coding(n: int) -> tuple[dict[bytes, int], dict[tuple[int, int], tuple[int, ...]]]:
     """S_n by lexicographic rank: {image tuple as bytes: rank}, and for each
-    transposition the row act[(a, b)][rank of p] == rank of p * (a b)."""
+    transposition the row act[(a, b)][rank of p] == rank of p * (a b).  Only
+    the rows (c-1 c) translate images; (a c) is (c-1 c)(a c-1)(c-1 c)."""
     perms = list(map(bytes, permutations(range(1, n + 1))))
     index = dict(zip(perms, range(len(perms))))
     act = {}
-    for a, b in combinations(range(1, n + 1), 2):
-        swap = bytearray(range(256))
-        swap[a], swap[b] = b, a
-        act[a, b] = list(map(index.__getitem__, map(methodcaller("translate", swap), perms)))
+    for c in range(2, n + 1):
+        swap = methodcaller("translate", bytes.maketrans(bytes((c - 1, c)), bytes((c, c - 1))))
+        adjacent = act[c - 1, c] = tuple(map(index.__getitem__, map(swap, perms)))
+        for a in range(1, c - 1):
+            act[a, c] = itemgetter(*itemgetter(*adjacent)(act[a, c - 1]))(adjacent)
     return index, act
 
 
@@ -320,22 +328,23 @@ def _join(blocks: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     return tuple(lo if x == hi else x for x in blocks)
 
 
-def _walk(n: int, key: tuple, start, moves, steps: int, start_aux=0, keep=True) -> dict:
+def _walk(n: int, key: tuple, start: Permutation, moves, steps: int, start_aux=0, keep=True) -> dict:
     """Layer ``steps`` of the walk ``key`` on S_n: aux -> {prefix rank: walks}.
 
-    The walk begins at the permutations ``start`` with aux ``start_aux``;
-    from aux ``x`` it may multiply by (a, b) and take aux ``y`` for each
-    ((a, b), y) in ``moves(x)``.  Layers are built on demand and, with
-    ``keep``, cached with the walk.  Callers: the star, unconstrained star,
-    monotone and monotone double counters here, which start at aux 0; the
-    double Hurwitz counter, which starts at the cycles of a class
-    representative as blocks; and ``algebra._transitive_monomial``, which
-    starts at (0, singleton blocks) and keeps nothing, as it memoises the
-    one layer it reads.
+    The walk begins at ``start`` with aux ``start_aux``; from aux ``x`` it
+    may multiply by (a, b) and take aux ``y`` for each ((a, b), y) in
+    ``moves(x)``.  Layers are built on demand and, with ``keep``, cached
+    with the walk.  Callers: the star, unconstrained star and monotone
+    counters here, which start at the identity with aux 0 (monotone double
+    reads the natural monotone walk summed over the full-cycle class); the
+    double Hurwitz counter, which starts at a class representative with its
+    cycles as blocks; and ``algebra._transitive_monomial``, which starts at
+    the identity with aux (0, singleton blocks) and keeps nothing, as it
+    memoises the one layer it reads.
     """
     entry = _WALKS.pop((n, key), None)
     if entry is None:
-        entry = [{start_aux: {_rank(p): 1 for p in start}}], {}
+        entry = [{start_aux: {_rank(start): 1}}], {}
     if keep:
         _WALKS[n, key] = entry
         if len(_WALKS) > _WALK_CACHE_SIZE:
@@ -426,7 +435,7 @@ def count_star(target: Permutation, genus: int, root: int) -> int:
         return 0
     m = star_length(target, genus)
     full = ((1 << n) - 1) & ~(1 << (root - 1))
-    layer = _walk(n, ("star", root), (Permutation.identity(n),),
+    layer = _walk(n, ("star", root), Permutation.identity(n),
                   partial(_star_moves, n, root, True), m)
     return layer.get(full, {}).get(_rank(target), 0)
 
@@ -439,7 +448,7 @@ def count_star_unconstrained(target: Permutation, length: int, root: int) -> int
         raise ValueError(f"root {root} outside [{n}]")
     if length < 0:
         return 0
-    layer = _walk(n, ("star-free", root), (Permutation.identity(n),),
+    layer = _walk(n, ("star-free", root), Permutation.identity(n),
                   partial(_star_moves, n, root, False), length)
     return layer.get(0, {}).get(_rank(target), 0)
 
@@ -494,22 +503,24 @@ def count_monotone(target: Permutation, genus: int, order: TotalOrder | None = N
     if genus < 0:
         return 0
     m = monotone_length(target, genus)
-    layer = _walk(n, ("monotone", order.sequence), (Permutation.identity(n),),
+    layer = _walk(n, ("monotone", order.sequence), Permutation.identity(n),
                   partial(_monotone_moves, order), m)
     rank = _rank(target)
     return sum(group.get(rank, 0) for group in layer.values())
 
 
 def count_monotone_double(target: Permutation, genus: int) -> int:
-    """Number of (full cycle, monotone tail) factorisations, by DP."""
+    """Number of (full cycle sigma, monotone tail) factorisations, by DP: the
+    natural monotone walk summed at c * target over the full cycles c = sigma^{-1}."""
     n = target.n
     if genus < 0:
         return 0
     k = target.cycle_count - 1 + 2 * genus
-    layer = _walk(n, ("monotone-double",), full_cycles(n),
+    layer = _walk(n, ("monotone", TotalOrder.natural(n).sequence), Permutation.identity(n),
                   partial(_monotone_moves, TotalOrder.natural(n)), k)
-    rank = _rank(target)
-    return sum(group.get(rank, 0) for group in layer.values())
+    index, then_target = _coding(n)[0], bytes((0, *target.images)).ljust(256, b"\0")
+    ranks = [index[c.translate(then_target)] for c in _full_cycle_images(n)]
+    return sum(sum(map(group.get, ranks, repeat(0))) for group in layer.values())
 
 
 def _rank_sorted_moves(order: TotalOrder):
@@ -582,7 +593,7 @@ def count_double_hurwitz(n: int, alpha: Partition, beta: Partition, genus: int) 
     m = alpha.length + beta.length - 2 + 2 * genus
     sigma = class_representative(alpha)
     least = {s: cyc[0] - 1 for cyc in sigma.cycles() for s in cyc}
-    layer = _walk(n, ("double-hurwitz", alpha), (sigma,), _double_hurwitz_moves, m,
+    layer = _walk(n, ("double-hurwitz", alpha), sigma, _double_hurwitz_moves, m,
                   start_aux=tuple(least[s] for s in range(1, n + 1)))
     perms = list(_coding(n)[0])
     total = sum(c for r, c in layer.get((0,) * n, {}).items()

@@ -84,6 +84,18 @@ def monotone_double_tuples(target: Permutation, tail_length: int):
     return out
 
 
+def swap_rank_rows(n: int) -> dict[tuple[int, int], list[int]]:
+    """For every a < b, the list whose entry at the lexicographic rank of p
+    is the rank of p's images with the values a and b exchanged."""
+    perms = list(permutations(range(1, n + 1)))
+    rank = {p: r for r, p in enumerate(perms)}
+    rows = {}
+    for a, b in combinations(range(1, n + 1), 2):
+        swapped = {a: b, b: a}
+        rows[a, b] = [rank[tuple(swapped.get(x, x) for x in p)] for p in perms]
+    return rows
+
+
 def double_hurwitz_count(n: int, alpha: Partition, beta: Partition, genus: int) -> int:
     """Transitive tuples (sigma, t_1..t_m), sigma over the whole alpha class."""
     m = alpha.length + beta.length - 2 + 2 * genus

@@ -239,6 +239,10 @@ class TestAlgebra:
         assert code == 0
         assert out == "3*K[3,1] + 4*K[2,2]\n"
 
+    def test_degree_below_one_is_refused(self, capsys):
+        code, out, err = run(capsys, "algebra", "--n", "0", "--expr", "J[2]")
+        assert (code, out, err) == (2, "", "error: --n must be at least 1 (got 0)\n")
+
     def test_power_sum_worked_example(self, capsys):
         code, out, _ = run(capsys, "algebra", "--n", "4", "--expr", "p[4]")
         assert code == 0
@@ -369,6 +373,19 @@ class TestVerify:
             "pass --unsafe-bounds to override\n"
         )
 
+    @pytest.mark.parametrize("suite, flag, value, least", [
+        ("theorem-1.4", "--n", "-3", 1),
+        ("theorem-1.1", "--n", "0", 1),
+        ("theorem-1.4", "--gmax", "-1", 0),
+        ("corollary-1.6", "--kmax", "-1", 0),
+        ("theorem-1.7", "--wmax", "-2", 0),
+    ])
+    def test_empty_sweep_is_refused(self, capsys, suite, flag, value, least):
+        # a sweep over nothing would print PASS (0/0 checks)
+        code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be at least {least} (got {value})\n"
+
     def test_unknown_suite_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "nope"])
@@ -455,6 +472,15 @@ class TestTable:
         code, _, err = run(capsys, "table", "--n", "6")
         assert code == 2
         assert "bound exceeded" in err
+
+    @pytest.mark.parametrize("argv, error", [
+        (("--nmax", "-1", "--gmax", "-5"), "--nmax must be at least 1 (got -1)"),
+        (("--nmax", "0"), "--nmax must be at least 1 (got 0)"),
+        (("--gmax", "-5"), "--gmax must be at least 0 (got -5)"),
+    ])
+    def test_empty_table_is_refused(self, capsys, argv, error):
+        code, out, err = run(capsys, "table", *argv)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 class TestExperiment:

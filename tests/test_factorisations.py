@@ -36,6 +36,7 @@ from starfact.factorisations import (
 )
 from starfact import factorisations
 from starfact.algebra import evaluate, h, jm_element
+from starfact.formulas import feray_count
 from starfact.perms import (
     all_transpositions,
     class_representative,
@@ -50,6 +51,7 @@ from oracles import (
     monotone_double_tuples,
     monotone_tuples,
     star_tuples,
+    swap_rank_rows,
 )
 
 
@@ -519,6 +521,30 @@ class TestCountsAgreeAcrossFamilies:
             w = class_representative(lam)
             for genus in (0, 1):
                 assert count_star(w, genus, n) == count_monotone_double(w, genus)
+
+    def test_star_monotone_double_and_feray_agree_on_every_class_of_s8(self):
+        for lam in partitions_of(8):
+            rep = class_representative(lam)
+            for genus in (0, 1):
+                star = count_star(rep, genus, 8)
+                assert star == count_monotone_double(rep, genus) == feray_count(lam, genus), (
+                    str(lam), genus)
+
+
+class TestWalkTables:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_coding_matches_value_swaps(self, n):
+        index, act = factorisations._coding(n)
+        perms = permutations(range(1, n + 1))
+        assert index == {bytes(p): r for r, p in enumerate(perms)}
+        assert {t: list(row) for t, row in act.items()} == swap_rank_rows(n)
+
+    def test_monotone_double_shares_the_natural_monotone_walk(self):
+        w = perm("(1 2 3)(4 5)")
+        factorisations._WALKS.clear()
+        assert count_monotone_double(w, 1) == len(enumerate_monotone_double(w, 1))
+        assert count_monotone(w, 1) == len(enumerate_monotone(w, 1))
+        assert list(factorisations._WALKS) == [(5, ("monotone", (1, 2, 3, 4, 5)))]
 
 
 class TestDpMatchesListingsInS5:
