@@ -445,10 +445,9 @@ def _transitive_monomial(n: int, exps: tuple[int, ...]) -> dict:
     (prefix product, connectivity partition of {1..n}), slots ascending,
     factors per slot chosen left to right, read where one block is left."""
     slots = tuple(j for j, mult in enumerate(exps, 2) for _ in range(mult))
-    layer = _walk(n, ("transitive", slots), Permutation.identity(n),
-                  partial(_transitive_moves, slots), len(slots),
+    layer = _walk(n, ("transitive", slots), partial(_transitive_moves, slots), len(slots),
                   start_aux=(0, tuple(range(n))), keep=False)
-    perms = list(_coding(n)[0])
+    perms = _coding(n)[0]
     return {tuple(perms[r]): c for r, c in layer.get((len(slots), (0,) * n), {}).items()}
 
 

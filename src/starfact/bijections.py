@@ -18,12 +18,13 @@ Built from these:
 * ``centrality_witness``  maps star factorisations of a target to star
                       factorisations of any conjugate target.
 
-The maps share one rewrite core on plain lists of factors: ``_swap`` and
-``_unswap`` (one adjacent order swap and its inverse), ``_to_natural`` and
-``_from_natural`` (swaps composed along ``sort_swaps``), ``_cycle_form``
-and ``_star_legs`` (star legs to and from the cycle form) and
-``_transport`` (conjugation).  No record is built inside the core; each
-public map builds and validates the one record it returns, at the end.
+The maps share one rewrite core on plain lists of factors and plain order
+sequences: ``_swap`` and ``_unswap`` (one adjacent order swap and its
+inverse), ``_to_natural`` and ``_from_natural`` (swaps composed along
+``sort_swaps`` of an order sequence), ``_cycle_form`` and ``_star_legs``
+(star legs to and from the cycle form) and ``_transport`` (conjugation).
+No record or order value is built inside the core; each public map builds
+and validates the one record it returns, at the end.
 
 Every function takes an optional ``trace`` list and appends one
 :class:`TraceStep` per elementary move, so each rewrite is replayable.
@@ -38,7 +39,6 @@ from .perms import (
     TotalOrder,
     Transposition,
     conjugating_permutation,
-    order_from_conjugator,
     sort_swaps,
 )
 from .factorisations import (
@@ -177,30 +177,30 @@ def _order_lists(sequence) -> tuple[list[int], list[int]]:
     return list(sequence), rank
 
 
-def _to_natural(facs: list, order: TotalOrder, trace: list | None) -> None:
-    """Rewrite ``facs`` from ``order``-monotone to natural-monotone by one
-    :func:`_swap` per step of the bubble sort of ``order``."""
-    seq, rank = _order_lists(order.sequence)
-    for j in sort_swaps(order):
+def _to_natural(facs: list, sequence: tuple[int, ...], trace: list | None) -> None:
+    """Rewrite ``facs`` from monotone for the order ``sequence`` to
+    natural-monotone by one :func:`_swap` per step of its bubble sort."""
+    seq, rank = _order_lists(sequence)
+    for j in sort_swaps(sequence):
         _swap(facs, seq, rank, j, trace)
 
 
-def _from_natural(facs: list, order: TotalOrder, trace: list | None) -> None:
+def _from_natural(facs: list, sequence: tuple[int, ...], trace: list | None) -> None:
     """Inverse of :func:`_to_natural`."""
-    seq, rank = _order_lists(range(1, order.n + 1))
-    for j in reversed(sort_swaps(order)):
+    seq, rank = _order_lists(range(1, len(sequence) + 1))
+    for j in reversed(sort_swaps(sequence)):
         _unswap(facs, seq, rank, j, trace)
-    if tuple(seq) != order.sequence:
+    if tuple(seq) != sequence:
         raise AssertionError("swap composition did not reach the requested order")
 
 
 def _transport(d: Permutation, perm: Permutation, tail, trace: list | None):
     """Relabel ``perm`` and a natural-monotone tail by d^{-1}; the tail is
-    then monotone for ``order_from_conjugator(d)`` and is rewritten
-    natural-monotone."""
+    then monotone for the order d^{-1}(1) < ... < d^{-1}(n), the images of
+    d^{-1}, and is rewritten natural-monotone."""
     dinv = d.inverse()
     facs = [t.relabel(dinv) for t in tail]
-    _to_natural(facs, order_from_conjugator(d), trace)
+    _to_natural(facs, dinv.images, trace)
     return perm.relabel(dinv), facs
 
 
@@ -232,7 +232,7 @@ def _cycle_form(n: int, root: int, legs, trace: list | None) -> tuple[Permutatio
 
     sequence = tuple(first_appearance) + (root,)
     tail = facs[n - 1 :]
-    _to_natural(tail, TotalOrder(sequence), trace)
+    _to_natural(tail, sequence, trace)
     return Permutation.from_cycles(n, [sequence]), tail
 
 
@@ -246,7 +246,7 @@ def _star_legs(n: int, sigma: Permutation, tail, root: int, trace: list | None) 
     pos = cyc.index(root)
     sequence = cyc[pos + 1 :] + cyc[: pos + 1]
     rest = list(tail)
-    _from_natural(rest, TotalOrder(sequence), trace)
+    _from_natural(rest, sequence, trace)
 
     facs = [Transposition(i, root) for i in sequence[:-1]] + rest
     for p in range(n - 1, 0, -1):
@@ -308,7 +308,7 @@ def lambda_order(
     """Rewrite an order-monotone factorisation as a natural-monotone one by
     composing adjacent swaps along a bubble sort of the order."""
     facs = list(f.factors)
-    _to_natural(facs, f.order, trace)
+    _to_natural(facs, f.order.sequence, trace)
     return MonotoneFactorisation(f.n, TotalOrder.natural(f.n), tuple(facs), f.target, f.genus)
 
 
@@ -321,7 +321,7 @@ def lambda_order_inverse(
     if order.n != f.n:
         raise ValueError("order degree differs from n")
     facs = list(f.factors)
-    _from_natural(facs, order, trace)
+    _from_natural(facs, order.sequence, trace)
     return MonotoneFactorisation(f.n, order, tuple(facs), f.target, f.genus)
 
 

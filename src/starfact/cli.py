@@ -498,6 +498,8 @@ def _end_line(obj) -> str:
 
 
 def cmd_trace(args) -> int:
+    if args.n is not None:
+        _check_bound(args, "n", args.n, None, "trace")
     trace: list = []
     if args.map == "gamma":
         result = gamma(_star_input(args), trace)
@@ -620,6 +622,9 @@ def cmd_verify(args) -> int:
         overrides[name] = value
     report = run_suite(args.suite, **overrides)
     config = {"suite": args.suite, **spec.defaults, **overrides}
+    if not report.checks:
+        bounds = ", ".join(f"{name}={value}" for name, value in config.items() if name != "suite")
+        raise UsageError(f"suite {args.suite} has no checks at {bounds}")
     results = [
         {"label": c.label, "passed": c.passed, "detail": c.detail}
         for c in report.checks

@@ -25,12 +25,12 @@ of the remaining product down the recursion and returns the found
 sequences; each is then built once into a validated record.  The counters
 share one layered walk over (prefix product, aux), where the product is its
 rank in S_n, moved by a per-degree table act[(a, b)][rank], and aux is the
-covered-leg bitmask (star), 0 (unconstrained star), the least order rank
-of the next factor (monotone; monotone double reads the natural walk
-summed over the full-cycle class) or the orbit block labels (double
-Hurwitz).  The transitive part of a Jucys-Murphy monomial in ``algebra``
-runs on the same walk, with aux (slot position, block labels).  One cache
-keeps the ``_WALK_CACHE_SIZE`` most recently used walks.
+covered-leg bitmask (star; the unconstrained count sums over every mask),
+the least order rank of the next factor (monotone; monotone double reads
+the natural walk summed over the full-cycle class) or the orbit block
+labels (double Hurwitz).  The transitive part of a Jucys-Murphy monomial in
+``algebra`` runs on the same walk, with aux (slot position, block labels).
+One cache keeps the ``_WALK_CACHE_SIZE`` most recently used walks.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .perms import (
     Permutation,
     TotalOrder,
     Transposition,
+    _cycles_of,
     all_transpositions,
     class_representative,
     class_size,
@@ -285,11 +286,11 @@ _WALKS: OrderedDict[tuple, tuple[list[dict], dict]] = OrderedDict()
 
 
 @lru_cache(maxsize=2)
-def _coding(n: int) -> tuple[dict[bytes, int], dict[tuple[int, int], tuple[int, ...]]]:
-    """S_n by lexicographic rank: {image tuple as bytes: rank}, and for each
-    transposition the row act[(a, b)][rank of p] == rank of p * (a b).  Only
-    the rows (c-1 c) translate images; (a c) is (c-1 c)(a c-1)(c-1 c)."""
-    perms = list(map(bytes, permutations(range(1, n + 1))))
+def _coding(n: int) -> tuple[tuple[bytes, ...], dict[bytes, int], dict[tuple, tuple[int, ...]]]:
+    """S_n by lexicographic rank: the images as bytes by rank, their index
+    {images: rank}, and the rows act[(a, b)][rank of p] == rank of p * (a b).
+    Only the rows (c-1 c) translate images; (a c) is (c-1 c)(a c-1)(c-1 c)."""
+    perms = tuple(map(bytes, permutations(range(1, n + 1))))
     index = dict(zip(perms, range(len(perms))))
     act = {}
     for c in range(2, n + 1):
@@ -297,26 +298,11 @@ def _coding(n: int) -> tuple[dict[bytes, int], dict[tuple[int, int], tuple[int, 
         adjacent = act[c - 1, c] = tuple(map(index.__getitem__, map(swap, perms)))
         for a in range(1, c - 1):
             act[a, c] = itemgetter(*itemgetter(*adjacent)(act[a, c - 1]))(adjacent)
-    return index, act
+    return perms, index, act
 
 
 def _rank(p: Permutation) -> int:
-    return _coding(p.n)[0][bytes(p.images)]
-
-
-def _cycle_type(images: bytes) -> tuple[int, ...]:
-    """Cycle lengths, largest first, of the permutation with these images."""
-    seen = bytearray(len(images) + 1)
-    lengths = []
-    for start in range(1, len(images) + 1):
-        length, s = 0, start
-        while not seen[s]:
-            seen[s] = 1
-            s = images[s - 1]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    return _coding(p.n)[1][bytes(p.images)]
 
 
 def _join(blocks: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
@@ -328,23 +314,23 @@ def _join(blocks: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     return tuple(lo if x == hi else x for x in blocks)
 
 
-def _walk(n: int, key: tuple, start: Permutation, moves, steps: int, start_aux=0, keep=True) -> dict:
+def _walk(n: int, key: tuple, moves, steps: int, start=0, start_aux=0, keep=True) -> dict:
     """Layer ``steps`` of the walk ``key`` on S_n: aux -> {prefix rank: walks}.
 
-    The walk begins at ``start`` with aux ``start_aux``; from aux ``x`` it
-    may multiply by (a, b) and take aux ``y`` for each ((a, b), y) in
-    ``moves(x)``.  Layers are built on demand and, with ``keep``, cached
-    with the walk.  Callers: the star, unconstrained star and monotone
-    counters here, which start at the identity with aux 0 (monotone double
-    reads the natural monotone walk summed over the full-cycle class); the
-    double Hurwitz counter, which starts at a class representative with its
-    cycles as blocks; and ``algebra._transitive_monomial``, which starts at
-    the identity with aux (0, singleton blocks) and keeps nothing, as it
-    memoises the one layer it reads.
+    The walk begins at the permutation of rank ``start`` (0 is the identity)
+    with aux ``start_aux``; from aux ``x`` it may multiply by (a, b) and
+    take aux ``y`` for each ((a, b), y) in ``moves(x)``.  Layers are built
+    on demand and, with ``keep``, cached with the walk.  Callers: the star
+    and monotone counters here, from the identity with aux 0 (unconstrained
+    star sums the star walk over every mask, monotone double the natural
+    monotone walk over the full-cycle class); the double Hurwitz counter,
+    from a class representative with its cycles as blocks; and
+    ``algebra._transitive_monomial``, from the identity with aux (0,
+    singleton blocks), keeping nothing, as it memoises the one layer it reads.
     """
     entry = _WALKS.pop((n, key), None)
     if entry is None:
-        entry = [{start_aux: {_rank(start): 1}}], {}
+        entry = [{start_aux: {start: 1}}], {}
     if keep:
         _WALKS[n, key] = entry
         if len(_WALKS) > _WALK_CACHE_SIZE:
@@ -354,7 +340,7 @@ def _walk(n: int, key: tuple, start: Permutation, moves, steps: int, start_aux=0
         nxt: dict[int, dict[int, int]] = {}
         for x, group in layers[-1].items():
             if x not in table:
-                table[x] = [(_coding(n)[1][t], y) for t, y in moves(x)]
+                table[x] = [(_coding(n)[2][t], y) for t, y in moves(x)]
             for row, y in table[x]:
                 dst = nxt.setdefault(y, {})
                 get = dst.get
@@ -414,12 +400,11 @@ def _list(target: Permutation, length: int, moves, feasible=None) -> list[tuple]
 # star factorisations
 
 
-def _star_moves(n: int, root: int, cover: bool, mask: int):
-    """Moves (a root) of a star walk.  With ``cover`` the aux is the bitmask
-    of legs used so far; without it the aux stays 0."""
+def _star_moves(n: int, root: int, mask: int):
+    """Moves (a root) of a star walk, whose aux is the bitmask of legs used."""
     for a in range(1, n + 1):
         if a != root:
-            yield (min(a, root), max(a, root)), (mask | 1 << (a - 1)) if cover else 0
+            yield (min(a, root), max(a, root)), mask | 1 << (a - 1)
 
 
 def star_length(target: Permutation, genus: int) -> int:
@@ -435,22 +420,22 @@ def count_star(target: Permutation, genus: int, root: int) -> int:
         return 0
     m = star_length(target, genus)
     full = ((1 << n) - 1) & ~(1 << (root - 1))
-    layer = _walk(n, ("star", root), Permutation.identity(n),
-                  partial(_star_moves, n, root, True), m)
+    layer = _walk(n, ("star", root), partial(_star_moves, n, root), m)
     return layer.get(full, {}).get(_rank(target), 0)
 
 
 def count_star_unconstrained(target: Permutation, length: int, root: int) -> int:
     """Number of length-``length`` star-transposition tuples with the given
-    product, with no coverage requirement."""
+    product, with no coverage requirement: the star walk summed over every
+    mask of covered legs."""
     n = target.n
     if not 1 <= root <= n:
         raise ValueError(f"root {root} outside [{n}]")
     if length < 0:
         return 0
-    layer = _walk(n, ("star-free", root), Permutation.identity(n),
-                  partial(_star_moves, n, root, False), length)
-    return layer.get(0, {}).get(_rank(target), 0)
+    layer = _walk(n, ("star", root), partial(_star_moves, n, root), length)
+    rank = _rank(target)
+    return sum(group.get(rank, 0) for group in layer.values())
 
 
 def enumerate_star(target: Permutation, genus: int, root: int) -> list[StarFactorisation]:
@@ -493,6 +478,11 @@ def monotone_length(target: Permutation, genus: int) -> int:
     return target.n - target.cycle_count + 2 * genus
 
 
+def _monotone_layer(order: TotalOrder, steps: int) -> dict:
+    """Layer ``steps`` of the monotone walk for ``order``, from the identity."""
+    return _walk(order.n, ("monotone", order.sequence), partial(_monotone_moves, order), steps)
+
+
 def count_monotone(target: Permutation, genus: int, order: TotalOrder | None = None) -> int:
     """Number of monotone factorisations, by dynamic programme."""
     n = target.n
@@ -502,9 +492,7 @@ def count_monotone(target: Permutation, genus: int, order: TotalOrder | None = N
         raise ValueError("order/target degree differs from n")
     if genus < 0:
         return 0
-    m = monotone_length(target, genus)
-    layer = _walk(n, ("monotone", order.sequence), Permutation.identity(n),
-                  partial(_monotone_moves, order), m)
+    layer = _monotone_layer(order, monotone_length(target, genus))
     rank = _rank(target)
     return sum(group.get(rank, 0) for group in layer.values())
 
@@ -515,10 +503,8 @@ def count_monotone_double(target: Permutation, genus: int) -> int:
     n = target.n
     if genus < 0:
         return 0
-    k = target.cycle_count - 1 + 2 * genus
-    layer = _walk(n, ("monotone", TotalOrder.natural(n).sequence), Permutation.identity(n),
-                  partial(_monotone_moves, TotalOrder.natural(n)), k)
-    index, then_target = _coding(n)[0], bytes((0, *target.images)).ljust(256, b"\0")
+    layer = _monotone_layer(TotalOrder.natural(n), target.cycle_count - 1 + 2 * genus)
+    index, then_target = _coding(n)[1], bytes((0, *target.images)).ljust(256, b"\0")
     ranks = [index[c.translate(then_target)] for c in _full_cycle_images(n)]
     return sum(sum(map(group.get, ranks, repeat(0))) for group in layer.values())
 
@@ -586,6 +572,8 @@ def count_double_hurwitz(n: int, alpha: Partition, beta: Partition, genus: int) 
     representative, with its cycles as the blocks, and the count is scaled
     by the class size.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1 (got {n})")
     if alpha.n != n or beta.n != n:
         raise ValueError("alpha and beta must be partitions of n")
     if genus < 0:
@@ -593,11 +581,11 @@ def count_double_hurwitz(n: int, alpha: Partition, beta: Partition, genus: int) 
     m = alpha.length + beta.length - 2 + 2 * genus
     sigma = class_representative(alpha)
     least = {s: cyc[0] - 1 for cyc in sigma.cycles() for s in cyc}
-    layer = _walk(n, ("double-hurwitz", alpha), sigma, _double_hurwitz_moves, m,
+    layer = _walk(n, ("double-hurwitz", alpha), _double_hurwitz_moves, m, start=_rank(sigma),
                   start_aux=tuple(least[s] for s in range(1, n + 1)))
-    perms = list(_coding(n)[0])
+    perms = _coding(n)[0]
     total = sum(c for r, c in layer.get((0,) * n, {}).items()
-                if _cycle_type(perms[r]) == beta.parts)
+                if tuple(sorted(map(len, _cycles_of(perms[r])), reverse=True)) == beta.parts)
     return total * class_size(n, alpha)
 
 

@@ -56,7 +56,9 @@ def central_factorial(m: int, k: int) -> int:
 
 
 def catalan(m: int) -> int:
-    """>>> catalan(3)
+    """The m-th Catalan number.
+
+    >>> catalan(3)
     5
     """
     if m < 0:
@@ -302,11 +304,10 @@ def _recurrence(i: int, parts: tuple[int, ...], genus: int) -> int:
     if i == 1 and not parts:
         return 1 if genus == 0 else 0
     total = _recurrence(i - 1, parts, genus)
-    alpha = Partition(parts)
-    for t in parts:
-        total += t * _recurrence(i + t, alpha.remove(t).parts, genus)
+    for k, t in enumerate(parts):
+        total += t * _recurrence(i + t, parts[:k] + parts[k + 1:], genus)
     for t in range(1, i):
-        total += _recurrence(i - t, alpha.union(t).parts, genus - 1)
+        total += _recurrence(i - t, tuple(sorted(parts + (t,), reverse=True)), genus - 1)
     return total
 
 
@@ -344,10 +345,7 @@ def b_relation_check(alpha: Partition, genus: int) -> bool:
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     big = 2 * n - 1
-    padded = alpha
-    for _ in range(n - 1):
-        padded = padded.union(1)
-    lhs = b_number(big, padded, genus)
+    lhs = b_number(big, Partition(alpha.parts + (1,) * (n - 1)), genus)
     star = count_star(class_representative(alpha), genus, alpha.n)
     rhs = factorial(n) * (2 * n - 1) ** (n + alpha.length + 2 * genus - 3) * star
     return lhs == rhs

@@ -57,16 +57,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def union(self, part: int) -> "Partition":
-        """This partition with one extra part."""
-        return Partition(tuple(sorted(self.parts + (part,), reverse=True)))
-
-    def remove(self, part: int) -> "Partition":
-        """This partition with one copy of ``part`` removed."""
-        lst = list(self.parts)
-        lst.remove(part)
-        return Partition(tuple(lst))
-
     def __iter__(self):
         return iter(self.parts)
 
@@ -507,28 +497,14 @@ def _natural_order(n: int) -> TotalOrder:
     return TotalOrder(range(1, n + 1))
 
 
-def order_from_conjugator(delta: Permutation) -> TotalOrder:
-    """The order ``d^{-1}(1) < d^{-1}(2) < ... < d^{-1}(n)``.
-
-    Relabelling symbols by ``delta.inverse()`` carries sequences that are
-    monotone under the natural order to sequences monotone under this one.
-    """
-    dinv = delta.inverse()
-    return TotalOrder(tuple(dinv.apply(k) for k in range(1, delta.n + 1)))
-
-
-def sort_swaps(order: TotalOrder) -> tuple[int, ...]:
-    """Adjacent-swap positions that bubble-sort ``order``'s sequence into the
-    natural one, in the order the swaps are applied."""
-    return _bubble_sort_swaps(order.sequence)
-
-
-# Orders whose swap lists ``sort_swaps`` keeps: all of S_6's fit.
+# Order sequences whose swap lists ``sort_swaps`` keeps: all of S_6's fit.
 _SORT_SWAPS_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_SORT_SWAPS_CACHE_SIZE)
-def _bubble_sort_swaps(sequence: tuple[int, ...]) -> tuple[int, ...]:
+def sort_swaps(sequence: tuple[int, ...]) -> tuple[int, ...]:
+    """Adjacent-swap positions that bubble-sort the order ``sequence`` into
+    the natural one, in the order the swaps are applied."""
     seq = list(sequence)
     swaps = []
     changed = True

@@ -357,7 +357,7 @@ class TestTransitivityOperator:
         for n in range(1, 7):
             assert sum(map(len, conjugacy_classes(n).values())) == factorial(n)
             for seq in permutations(range(1, n + 1)):
-                sort_swaps(TotalOrder(seq))
+                sort_swaps(seq)
         for n in range(2, 12):
             for a, b in permutations(range(1, n + 1), 2):
                 Permutation.transposition(n, a, b)

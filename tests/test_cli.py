@@ -189,6 +189,13 @@ class TestTrace:
         assert code == 0
         assert out == "end: family=monotone order=1<3<2 factors=(1 2) target=(1 2)(3) genus=0\n"
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_degree_below_one_is_refused(self, capsys, n):
+        # an empty order and factor list would trace to an empty record
+        code, out, err = run(capsys, "trace", "--map", "lambda-order", "--n", n, "--factors", "")
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be at least 1 (got {n})\n"
+
     def test_condition_violation_is_reported(self, capsys):
         code, out, err = run(
             capsys, "trace", "--map", "gamma", "--n", "3", "--root", "3",
@@ -385,6 +392,20 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", suite, flag, value)
         assert (code, out) == (2, "")
         assert err == f"error: {flag} must be at least {least} (got {value})\n"
+
+    @pytest.mark.parametrize("suite, bounds", [
+        ("relation-6.4", "n=1"),
+        ("theorem-1.7", "n=1, wmax=5"),
+        ("corollary-1.6", "n=1, kmax=3"),
+        ("recurrence-6.3", "n=1, gmax=3"),
+        ("bijections", "n=1, gmax=1"),
+    ])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_suite_with_no_checks_is_refused(self, capsys, suite, bounds, fmt):
+        # these suites start above n = 1, so the run would print PASS (0/0 checks)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "1", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: suite {suite} has no checks at {bounds}\n"
 
     def test_unknown_suite_exits_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

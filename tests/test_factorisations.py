@@ -491,6 +491,12 @@ class TestDoubleHurwitz:
         with pytest.raises(ValueError):
             count_double_hurwitz(3, Partition((2,)), Partition((3,)), 0)
 
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_degree_zero_rejected(self, genus):
+        # at g = 0 the tuple length is -2, which no walk layer has
+        with pytest.raises(ValueError, match=r"n must be at least 1 \(got 0\)"):
+            count_double_hurwitz(0, Partition(()), Partition(()), genus)
+
     def test_negative_genus(self):
         assert count_double_hurwitz(3, Partition((3,)), Partition((3,)), -1) == 0
 
@@ -534,9 +540,9 @@ class TestCountsAgreeAcrossFamilies:
 class TestWalkTables:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_coding_matches_value_swaps(self, n):
-        index, act = factorisations._coding(n)
-        perms = permutations(range(1, n + 1))
-        assert index == {bytes(p): r for r, p in enumerate(perms)}
+        perms, index, act = factorisations._coding(n)
+        assert perms == tuple(map(bytes, permutations(range(1, n + 1))))
+        assert index == {p: r for r, p in enumerate(perms)}
         assert {t: list(row) for t, row in act.items()} == swap_rank_rows(n)
 
     def test_monotone_double_shares_the_natural_monotone_walk(self):
@@ -545,6 +551,13 @@ class TestWalkTables:
         assert count_monotone_double(w, 1) == len(enumerate_monotone_double(w, 1))
         assert count_monotone(w, 1) == len(enumerate_monotone(w, 1))
         assert list(factorisations._WALKS) == [(5, ("monotone", (1, 2, 3, 4, 5)))]
+
+    def test_unconstrained_star_shares_the_star_walk(self):
+        w = perm("(1 2 3)(4 5)")
+        factorisations._WALKS.clear()
+        assert count_star(w, 1, 2) == len(enumerate_star(w, 1, 2))
+        assert count_star_unconstrained(w, 7, 2) == len(star_tuples(w, 7, 2, transitive=False))
+        assert list(factorisations._WALKS) == [(5, ("star", 2))]
 
 
 class TestDpMatchesListingsInS5:
