@@ -529,6 +529,8 @@ def enumerate_monotone(
     n = target.n
     if order is None:
         order = TotalOrder.natural(n)
+    if order.n != n:
+        raise ValueError("order/target degree differs from n")
     if genus < 0:
         return []
     return [

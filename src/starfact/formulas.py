@@ -1,15 +1,19 @@
 """Closed-form counts, integer triangles and the genus recurrence.
 
-Everything here is exact: series coefficients are `Fraction`s, every
-stated division is checked to come out even, and each formula has an
-independent enumeration oracle in the test suite.
+Everything here is exact: every stated division is checked to come out
+even, and each formula has an independent enumeration oracle in the test
+suite.  The series formula works on plain lists of `Fraction`
+coefficients: its series are even, so each list holds the coefficients of
+t^0, t^2, ..., t^(2g), and grouping equal parts leaves only nonnegative
+powers, with no series inverse.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .factorisations import b_number, count_monotone_double, count_star
 from .perms import Partition, class_representative
@@ -67,119 +71,18 @@ def catalan(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# truncated rational power series
-
-
-class RationalSeries:
-    """Power series in one variable with `Fraction` coefficients, truncated
-    beyond a fixed order.  Immutable; all arithmetic stays at the common
-    truncation order.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int) -> None:
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        padded = [Fraction(c) for c in coeffs][: order + 1]
-        padded += [Fraction(0)] * (order + 1 - len(padded))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(padded))
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("RationalSeries is immutable")
-
-    @classmethod
-    def constant(cls, value, order: int) -> "RationalSeries":
-        return cls([Fraction(value)], order)
-
-    def coefficient(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond truncation {self.order}")
-        return self.coeffs[k]
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        if self.order != other.order:
-            raise ValueError("truncation orders differ")
-        return RationalSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        if self.order != other.order:
-            raise ValueError("truncation orders differ")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return RationalSeries(out, n)
-
-    def __pow__(self, k: int) -> "RationalSeries":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = RationalSeries.constant(1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def inverse(self) -> "RationalSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a0 = self.coeffs[0]
-        if not a0:
-            raise ZeroDivisionError("series has no inverse: constant term is 0")
-        inv = [Fraction(1) / a0]
-        for k in range(1, self.order + 1):
-            acc = sum(
-                (self.coeffs[j] * inv[k - j] for j in range(1, k + 1)),
-                Fraction(0),
-            )
-            inv.append(-acc / a0)
-        return RationalSeries(inv, self.order)
-
-    def substitute_scaled(self, c: int) -> "RationalSeries":
-        """The series evaluated at c times the variable."""
-        scale = Fraction(1)
-        out = []
-        for a in self.coeffs:
-            out.append(a * scale)
-            scale *= c
-        return RationalSeries(out, self.order)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"RationalSeries({list(self.coeffs)!r}, order={self.order})"
-
-
-def base_series(order: int) -> RationalSeries:
-    """The even series with coefficient 1/(4^k (2k+1)!) at degree 2k.
-
-    This is 2*sinh(t/2)/t; its value at 0 is 1, so it has an inverse.
-    """
-    coeffs = [Fraction(0)] * (order + 1)
-    k = 0
-    while 2 * k <= order:
-        coeffs[2 * k] = Fraction(1, 4**k * factorial(2 * k + 1))
-        k += 1
-    return RationalSeries(coeffs, order)
-
-
-# ---------------------------------------------------------------------------
 # closed formulas
+
+
+def _even_power(c: int, e: int, genus: int) -> list[Fraction]:
+    """Coefficients of u^0..u^genus, u = t^2, in f(c*t)^e for e >= 0, where
+    f(t) = 2 sinh(t/2)/t has c^(2k) / (4^k (2k+1)!) at u^k.  Since f(0) = 1,
+    the power obeys k p_k = sum_(j=1..k) ((e+1) j - k) f_j p_(k-j)."""
+    f = [Fraction(c ** (2 * k), 4**k * factorial(2 * k + 1)) for k in range(genus + 1)]
+    p = [Fraction(1)]
+    for k in range(1, genus + 1):
+        p.append(sum(((e + 1) * j - k) * f[j] * p[k - j] for j in range(1, k + 1)) / k)
+    return p
 
 
 def feray_count(lam: Partition, genus: int) -> int:
@@ -187,8 +90,13 @@ def feray_count(lam: Partition, genus: int) -> int:
     series formula: (2g+n+l-2)!/n! times the product of the parts times
     the coefficient of t^(2g) in f(t)^(n-2) * prod f(part*t).
 
-    The result is asserted to be a nonnegative integer.  For n = 1 the
-    power f(t)^(-1) is a genuine series inverse.
+    Every factor is even, so each is kept as its coefficients of t^0, t^2,
+    ..., t^(2g).  Equal parts are grouped: the product is prod_c f(c*t)^e_c,
+    where e_c is the multiplicity of the part c, plus n - 2 when c = 1.
+    Every e_c is nonnegative (for n = 1 the single part cancels f^(-1)),
+    so each factor is one power of a series with constant term 1, and no
+    series inverse is needed.  The result is asserted to be a nonnegative
+    integer.
 
     >>> feray_count(Partition((2, 1)), 0)
     2
@@ -198,18 +106,16 @@ def feray_count(lam: Partition, genus: int) -> int:
     n = lam.n
     if n < 1:
         raise ValueError("partition must be nonempty")
-    order = 2 * genus
-    f = base_series(order)
-    series = f ** (n - 2)
-    for part in lam:
-        series = series * f.substitute_scaled(part)
-    part_product = 1
-    for part in lam:
-        part_product *= part
+    exponents = Counter(lam.parts)
+    exponents[1] += n - 2
+    series = [Fraction(1)] + [Fraction(0)] * genus
+    for c, e in exponents.items():
+        power = _even_power(c, e, genus)
+        series = [sum(series[j] * power[k - j] for j in range(k + 1)) for k in range(genus + 1)]
     value = (
         Fraction(factorial(2 * genus + n + lam.length - 2), factorial(n))
-        * part_product
-        * series.coefficient(order)
+        * prod(lam.parts)
+        * series[genus]
     )
     if value.denominator != 1 or value < 0:
         raise ArithmeticError(f"series formula gave non-integral {value} for {lam}")

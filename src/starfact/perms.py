@@ -436,7 +436,9 @@ def all_transpositions(n: int) -> tuple[Transposition, ...]:
 class TotalOrder:
     """A total order on {1..n}, given as its sequence from smallest to largest.
 
-    ``TotalOrder((3, 2, 1))`` is the order 3 < 2 < 1.
+    ``TotalOrder((3, 2, 1))`` is the order 3 < 2 < 1.  Orders are shared
+    (``natural`` is memoised), so neither the sequence nor the ranks can be
+    assigned after construction.
     """
 
     __slots__ = ("sequence", "_rank")
@@ -445,8 +447,17 @@ class TotalOrder:
         sequence = tuple(sequence)
         if sorted(sequence) != list(range(1, len(sequence) + 1)):
             raise ValueError(f"not an arrangement of [{len(sequence)}]: {sequence}")
-        self.sequence = sequence
-        self._rank = {s: i + 1 for i, s in enumerate(sequence)}
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "_rank", {s: i + 1 for i, s in enumerate(sequence)})
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a TotalOrder is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a TotalOrder is immutable")
+
+    def __reduce__(self):
+        return (self.__class__, (self.sequence,))
 
     @classmethod
     def natural(cls, n: int) -> "TotalOrder":

@@ -489,7 +489,6 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
 class SuiteSpec:
     name: str
     runner: Callable[..., SuiteReport]
-    description: str
     caps: dict = field(default_factory=dict)
 
     @property
@@ -505,55 +504,46 @@ SUITES: dict[str, SuiteSpec] = {
         SuiteSpec(
             "theorem-1.1",
             suite_theorem_1_1,
-            "elementary slot polynomials expand to class-sum strata",
             {"n": 7},
         ),
         SuiteSpec(
             "theorem-1.4",
             suite_theorem_1_4,
-            "star counts equal monotone double counts; explicit bijection on listings",
             {"n": 6, "gmax": 3},
         ),
         SuiteSpec(
             "theorem-1.7",
             suite_theorem_1_7,
-            "transitive parts of symmetric-function values are central",
             {"n": 6, "wmax": 6},
         ),
         SuiteSpec(
             "corollary-1.6",
             suite_corollary_1_6,
-            "four routes to the transitive top-slot power agree",
             {"n": 6, "kmax": 4},
         ),
         SuiteSpec(
             "recurrence-2.1",
             suite_recurrence_2_1,
-            "join-cut recurrence reproduces DP star counts",
             {"n": 7, "gmax": 3},
         ),
         SuiteSpec(
             "formulas-6.2",
             suite_formulas_6_2,
-            "series formula and closed forms agree with DP and listings",
             {"n": 6, "gmax": 3},
         ),
         SuiteSpec(
             "recurrence-6.3",
             suite_recurrence_6_3,
-            "three-term recurrence for identity-target counts",
             {"n": 7, "gmax": 5},
         ),
         SuiteSpec(
             "relation-6.4",
             suite_relation_6_4,
-            "padded double Hurwitz relation by exhaustion in the doubled group",
             {"n": 5},
         ),
         SuiteSpec(
             "bijections",
             suite_bijections,
-            "round trips, images and product preservation for all maps",
             {"n": 4, "gmax": 2},
         ),
     )

@@ -300,6 +300,13 @@ class TestMonotoneCounts:
         with pytest.raises(ValueError, match="order/target degree differs from n"):
             count_monotone(perm("(1 4)"), 0, TotalOrder.natural(3))
 
+    @pytest.mark.parametrize("sequence", [(3, 2, 1), (1,)], ids=str)
+    def test_listing_refuses_an_order_of_another_degree(self, sequence):
+        order = TotalOrder(sequence)
+        for route in (count_monotone, enumerate_monotone):
+            with pytest.raises(ValueError, match="order/target degree differs from n"):
+                route(perm("(1 2)"), 0, order)
+
     def test_listing_is_rank_lexicographic(self):
         # each factor keys as (rank of larger symbol, rank of smaller) under
         # the order; the listing is strictly increasing in those key tuples

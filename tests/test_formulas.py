@@ -1,17 +1,14 @@
-"""Closed formulas, the join-cut recurrence, and exact series arithmetic."""
+"""Special numbers, closed formulas, the series formula and the join-cut recurrence."""
 
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 
 from starfact import Partition, partitions_of
 from starfact.factorisations import count_monotone_double, count_star
 from starfact.formulas import (
-    RationalSeries,
     agreement_row,
     b_relation_check,
-    base_series,
     catalan,
     central_factorial,
     closed_form,
@@ -55,58 +52,6 @@ class TestSpecialNumbers:
         assert [catalan(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
 
 
-class TestSeries:
-    def test_constant_and_coefficient(self):
-        s = RationalSeries.constant(3, 4)
-        assert s.coefficient(0) == 3
-        assert s.coefficient(4) == 0
-        with pytest.raises(IndexError):
-            s.coefficient(5)
-
-    def test_immutable(self):
-        s = RationalSeries.constant(1, 2)
-        with pytest.raises(AttributeError):
-            s.order = 5
-
-    def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            RationalSeries.constant(1, 2) + RationalSeries.constant(1, 3)
-
-    def test_product_truncates(self):
-        t = RationalSeries([0, 1, 0], 2)
-        assert (t * t).coeffs == (Fraction(0), Fraction(0), Fraction(1))
-        assert (t * t * t).coeffs == (Fraction(0),) * 3
-
-    def test_power(self):
-        t = RationalSeries([1, 1, 0, 0], 3)
-        cube = t**3
-        assert [cube.coefficient(k) for k in range(4)] == [1, 3, 3, 1]
-        assert t**0 == RationalSeries.constant(1, 3)
-
-    def test_negative_power_is_inverse(self):
-        t = RationalSeries([1, 2, 3], 2)
-        assert t**-1 == t.inverse()
-        assert (t * t.inverse()) == RationalSeries.constant(1, 2)
-
-    def test_inverse_needs_a_unit(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalSeries([0, 1], 1).inverse()
-
-    def test_substitute_scaled(self):
-        t = RationalSeries([1, 1, 1], 2)
-        assert t.substitute_scaled(2).coeffs == (
-            Fraction(1),
-            Fraction(2),
-            Fraction(4),
-        )
-
-    def test_base_series_coefficients(self):
-        s = base_series(6)
-        for k in range(4):
-            assert s.coefficient(2 * k) == Fraction(1, 4**k * factorial(2 * k + 1))
-        assert s.coefficient(1) == 0 and s.coefficient(3) == 0
-
-
 class TestClosedForms:
     def test_feray_values(self):
         assert feray_count(Partition((2,)), 0) == 1
@@ -117,6 +62,18 @@ class TestClosedForms:
         assert feray_count(Partition((1,)), 0) == 1
         for genus in (1, 2, 3):
             assert feray_count(Partition((1,)), genus) == 0
+
+    def test_feray_refuses_negative_genus_and_empty_partition(self):
+        with pytest.raises(ValueError, match="genus must be nonnegative"):
+            feray_count(Partition((2,)), -1)
+        with pytest.raises(ValueError, match="partition must be nonempty"):
+            feray_count(Partition(()), 0)
+
+    def test_feray_matches_closed_forms_to_degree_40(self):
+        for n in range(2, 41):
+            for genus in range(6):
+                assert feray_count(Partition((n,)), genus) == md_full_cycle(n, genus), (n, genus)
+                assert feray_count(Partition((1,) * n), genus) == md_identity(n, genus), (n, genus)
 
     def test_feray_matches_dynamic_programme(self):
         for n in range(1, 5):
@@ -211,6 +168,19 @@ class TestRecurrence:
                         assert recurrence_star(i, alpha, genus) == count_star(
                             target, genus, total
                         ), (i, alpha, genus)
+
+    def test_matches_series_formula_at_every_root_part(self):
+        # the root cycle may be any part of the class, so agreement at every
+        # distinct part also checks that the recurrence depends on the class
+        for n in range(2, 11):
+            for lam in partitions_of(n):
+                for i in set(lam.parts):
+                    rest = list(lam.parts)
+                    rest.remove(i)
+                    for genus in range(5):
+                        assert recurrence_star(i, Partition(tuple(rest)), genus) == feray_count(
+                            lam, genus
+                        ), (lam, i, genus)
 
     def test_identity_recurrence(self):
         assert recurrence_md_identity_check(3, 1)  # 60 = 48 + 12

@@ -294,6 +294,25 @@ class TestTotalOrder:
         order = TotalOrder.parse("3<2<1")
         assert order.swapped(1).sequence == (2, 3, 1)
 
+    def test_shared_natural_order_cannot_be_reassigned(self):
+        order = TotalOrder.natural(3)
+        with pytest.raises(AttributeError):
+            order.sequence = (3, 2, 1)
+        with pytest.raises(AttributeError):
+            order._rank = {3: 1, 2: 2, 1: 3}
+        with pytest.raises(AttributeError):
+            del order.sequence
+        assert TotalOrder.natural(3) is order
+        assert str(order) == "1<2<3" and order.rank(1) == 1
+
+    def test_pickle_and_copy(self):
+        order = TotalOrder.parse("2<3<1")
+        for twin in (pickle.loads(pickle.dumps(order)), copy.deepcopy(order), copy.copy(order)):
+            assert type(twin) is TotalOrder and twin == order and hash(twin) == hash(order)
+            assert twin.rank(1) == 3
+            with pytest.raises(AttributeError):
+                twin.sequence = (1, 2, 3)
+
     @given(st.permutations(list(range(1, 6))))
     def test_sort_swaps_reaches_natural(self, seq):
         order = TotalOrder(tuple(seq))

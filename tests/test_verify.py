@@ -1,5 +1,7 @@
 """Suite registry plumbing; the suites' mathematics runs in test_acceptance."""
 
+from pathlib import Path
+
 import pytest
 
 from starfact.verify import (
@@ -43,8 +45,18 @@ class TestRegistry:
         assert len(SUITES) == 9
         for name, spec in SUITES.items():
             assert spec.name == name
-            assert spec.description
             assert set(spec.caps) == set(spec.defaults)
+
+    def test_readme_table_lists_every_suite_with_its_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Verification suites", 1)[1].split("\n## ", 1)[0]
+        rows = [line.strip("|").split("|") for line in section.splitlines() if line.startswith("| ")]
+        cells = {row[0].strip(): row[2].strip() for row in rows[2:]}  # past the header and its rule
+        assert set(cells) == set(SUITES)
+        labels = {"n": "n", "gmax": "g", "kmax": "k", "wmax": "weight"}
+        for name, spec in SUITES.items():
+            expected = ", ".join(f"{labels[key]} <= {value}" for key, value in spec.defaults.items())
+            assert cells[name].startswith(expected), (name, cells[name], expected)
 
     def test_unknown_suite(self):
         with pytest.raises(KeyError, match="available:"):
