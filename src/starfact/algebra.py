@@ -25,6 +25,7 @@ memo, ``_transitive_monomial``, of at most ``_MONOMIAL_CACHE_SIZE``
 monomials.  The moves out of a state depend only on its block labels and
 the slot in play, so every walk reads them from one shared memo,
 ``_transitive_move_list``, of at most ``_MOVE_LIST_CACHE_SIZE`` lists.
+This module is a route only; :mod:`starfact.verify` compares it with others.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import combinations
 from operator import add, itemgetter
 
 from .factorisations import _coding, _join, _walk
-from .perms import Partition, Permutation, conjugacy_classes, partitions_of
+from .perms import Partition, Permutation, conjugacy_classes
 
 
 class NotCentralError(ValueError):
@@ -471,29 +472,3 @@ def transitive_power(n: int, t: int) -> AlgebraElement:
     if n == 1:
         return transitive_evaluate(e(), n) if t == 0 else AlgebraElement.zero(n)
     return transitive_evaluate(jm_var(n) ** t, n)
-
-
-def verify_elementary_class_sums(n: int, k: int) -> bool:
-    """The k-th elementary polynomial at the slots equals the sum of the
-    class sums over cycle types with exactly n - k cycles."""
-    lhs = evaluate(e(k), n)
-    rhs = AlgebraElement.zero(n)
-    for lam in partitions_of(n):
-        if lam.length == n - k:
-            rhs = rhs + class_sum(n, lam)
-    return lhs == rhs
-
-
-def verify_corollary_1_6(n: int, k: int) -> bool:
-    """Four routes to the same element: the transitive part of the top-slot
-    power of degree n-1+k, the transitive part of the matching power sum,
-    and the closed form as (product of all slots) times h_k, the latter both
-    via symbolic expansion and explicit algebra products."""
-    via_top_power = transitive_power(n, n - 1 + k)
-    via_power_sum = transitive_evaluate(p(n - 1 + k), n)
-    closed_form = evaluate(e(n - 1) * h(k), n)
-    chain = AlgebraElement.one(n)
-    for j in range(2, n + 1):
-        chain = chain * jm_element(n, j)
-    via_chain = chain * evaluate(h(k), n)
-    return via_top_power == via_power_sum == closed_form == via_chain

@@ -54,7 +54,7 @@ from .factorisations import (
     enumerate_monotone_double,
     enumerate_star,
 )
-from .formulas import agreement_row, closed_form, feray_count
+from .formulas import closed_form, feray_count
 from .perms import (
     Partition,
     Permutation,
@@ -63,7 +63,7 @@ from .perms import (
     class_representative,
     partitions_of,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, agreement_row, run_suite
 
 
 class UsageError(Exception):
@@ -332,15 +332,24 @@ def _check_bounds(args, method: str, n: int, genus: int) -> None:
 
 
 def _resolve_input(args) -> tuple[Permutation, Partition | None, int]:
-    """The target, its partition when one was given, and the checked genus."""
+    """The target, its partition when one was given, and the checked genus;
+    a flag that the family or the partition would leave unread is refused."""
+    for flag, value, read in (("--root", args.root, args.family == "star"),
+                              ("--order", args.order, args.family == "monotone")):
+        if value is not None and not read:
+            raise UsageError(f"family {args.family} takes no {flag}")
+    if args.partition is not None:
+        for flag, value in (("--target", args.target), ("--n", args.n)):
+            if value is not None:
+                raise UsageError(f"--partition takes no {flag}")
     if args.genus < 0:
         raise UsageError("genus must be nonnegative")
-    if getattr(args, "partition", None):
+    if args.partition:
         lam = _parse_partition(args.partition)
         if lam.n == 0:
             raise UsageError("partition must be nonempty")
         return class_representative(lam), lam, args.genus
-    if getattr(args, "target", None):
+    if args.target:
         return _parse_permutation(args.target, args.n), None, args.genus
     raise UsageError("one of --target or --partition is required")
 
@@ -699,7 +708,7 @@ def _newton_e_basis(k: int) -> SymExpr:
 
 
 def _span_dimension(vectors: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination."""
+    """Rank over the rationals by Gaussian elimination on `Fraction` rows."""
     from fractions import Fraction
 
     rows = [[Fraction(x) for x in v] for v in vectors]
@@ -785,13 +794,16 @@ def _build_parser() -> argparse.ArgumentParser:
         parent = argparse.ArgumentParser(add_help=False)
         parent.add_argument("--format", default="text",
                             choices=["text", "json", *formats], help="output format")
-        parent.add_argument("--unsafe-bounds", action="store_true",
-                            help="override the built-in feasibility bounds")
         return [parent]
+
+    # only the subcommands with feasibility bounds take the override
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument("--unsafe-bounds", action="store_true",
+                         help="override the built-in feasibility bounds")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("count", parents=common(),
+    pc = sub.add_parser("count", parents=common() + [bounded],
                         help="count factorisations of one target")
     pc.add_argument("--family", required=True,
                     choices=["star", "monotone", "md", "dh"])
@@ -805,7 +817,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     choices=["auto", "dp", "listing", "formula"])
     pc.set_defaults(func=cmd_count)
 
-    pl = sub.add_parser("list", parents=common(),
+    pl = sub.add_parser("list", parents=common() + [bounded],
                         help="list factorisations of one target")
     pl.add_argument("--family", required=True, choices=["star", "monotone", "md"])
     pl.add_argument("--target")
@@ -838,14 +850,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--to-target", dest="to_target")
     pt.set_defaults(func=cmd_trace)
 
-    pa = sub.add_parser("algebra", parents=common(),
+    pa = sub.add_parser("algebra", parents=common() + [bounded],
                         help="evaluate an expression in the group algebra")
     pa.add_argument("--n", type=int, required=True)
     pa.add_argument("--expr", required=True,
                     help='e.g. "T(J[4]^4)", "p[4]", "e[2,1]"')
     pa.set_defaults(func=cmd_algebra)
 
-    pv = sub.add_parser("verify", parents=common(),
+    pv = sub.add_parser("verify", parents=common() + [bounded],
                         help="run a named verification suite")
     pv.add_argument("--suite", required=True, choices=sorted(SUITES))
     pv.add_argument("--n", type=int)
@@ -854,13 +866,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--wmax", type=int)
     pv.set_defaults(func=cmd_verify)
 
-    pb = sub.add_parser("table", parents=common("csv"),
+    pb = sub.add_parser("table", parents=common("csv") + [bounded],
                         help="cross-method agreement table over classes")
     pb.add_argument("--nmax", type=int, default=4)
     pb.add_argument("--gmax", type=int, default=1)
     pb.set_defaults(func=cmd_table)
 
-    pe = sub.add_parser("experiment", parents=common(),
+    pe = sub.add_parser("experiment", parents=common() + [bounded],
                         help="exploratory computations around the "
                              "transitivity operator")
     pe.add_argument("--name", required=True,

@@ -1,11 +1,12 @@
 """Closed-form counts, integer triangles and the genus recurrence.
 
-Everything here is exact: every stated division is checked to come out
-even, and each formula has an independent enumeration oracle in the test
-suite.  The series formula works on plain lists of `Fraction`
-coefficients: its series are even, so each list holds the coefficients of
-t^0, t^2, ..., t^(2g), and grouping equal parts leaves only nonnegative
-powers, with no series inverse.
+A route only: it reads just :mod:`starfact.perms`, and
+:mod:`starfact.verify` compares its values with the other routes.
+Everything is exact: every stated division is checked to come out even.
+The series formula works on plain lists of `Fraction` coefficients: its
+series are even, so each list holds the coefficients of t^0, t^2, ...,
+t^(2g), and grouping equal parts leaves only nonnegative powers, with no
+series inverse.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .factorisations import b_number, count_monotone_double, count_star
-from .perms import Partition, class_representative
+from .perms import Partition
 
 # ---------------------------------------------------------------------------
 # integer triangles
@@ -215,68 +215,3 @@ def _recurrence(i: int, parts: tuple[int, ...], genus: int) -> int:
     for t in range(1, i):
         total += _recurrence(i - t, tuple(sorted(parts + (t,), reverse=True)), genus - 1)
     return total
-
-
-def recurrence_md_identity_check(n: int, genus: int) -> bool:
-    """Whether n*md_g(id_n) = n(n-1)^2 md_(g-1)(id_n) + 2(n-1)(2n-3) md_g(id_(n-1)),
-    with the g-1 term read as zero at g = 0.
-
-    >>> recurrence_md_identity_check(3, 1)
-    True
-    """
-    if n < 2:
-        raise ValueError("the recurrence needs n >= 2")
-    lhs = n * md_identity(n, genus)
-    lower_genus = md_identity(n, genus - 1) if genus >= 1 else 0
-    rhs = n * (n - 1) ** 2 * lower_genus + 2 * (n - 1) * (2 * n - 3) * md_identity(
-        n - 1, genus
-    )
-    return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# star counts against double Hurwitz numbers
-
-
-def b_relation_check(alpha: Partition, genus: int) -> bool:
-    """Whether the normalised transitive double Hurwitz count of
-    alpha + (n-1 fixed points) in S_(2n-1) equals
-    n! * (2n-1)^(n+l(alpha)+2g-3) times the transitive star count of alpha.
-
-    Exhausts S_(2n-1); callers enforce feasibility bounds.
-    """
-    n = alpha.n
-    if n < 2:
-        raise ValueError("relation needs |alpha| >= 2")
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    big = 2 * n - 1
-    lhs = b_number(big, Partition(alpha.parts + (1,) * (n - 1)), genus)
-    star = count_star(class_representative(alpha), genus, alpha.n)
-    rhs = factorial(n) * (2 * n - 1) ** (n + alpha.length + 2 * genus - 3) * star
-    return lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# agreement table
-
-
-def agreement_row(lam: Partition, genus: int) -> dict:
-    """One row of the cross-method table: DP star count, DP monotone
-    double count, the series formula, and the closed form when the class
-    is a full cycle or the identity."""
-    rep = class_representative(lam)
-    star = count_star(rep, genus, lam.n)
-    md = count_monotone_double(rep, genus)
-    feray = feray_count(lam, genus)
-    closed = closed_form(lam, genus)
-    agree = star == md == feray and (closed is None or closed == star)
-    return {
-        "partition": str(lam),
-        "genus": genus,
-        "count_star": star,
-        "md_count": md,
-        "feray": feray,
-        "closed_form": "" if closed is None else closed,
-        "all_agree": agree,
-    }

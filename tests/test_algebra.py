@@ -31,8 +31,6 @@ from starfact.algebra import (
     p,
     transitive_evaluate,
     transitive_power,
-    verify_corollary_1_6,
-    verify_elementary_class_sums,
 )
 from starfact.formulas import recurrence_star
 from starfact.perms import _PARTITIONS_CACHE_SIZE, conjugacy_classes, sort_swaps
@@ -46,6 +44,7 @@ from starfact.factorisations import (
     star_length,
 )
 from starfact.perms import class_representative, symmetric_group
+from starfact.verify import run_suite
 
 from oracles import jm_power_table, transitive_monomial
 
@@ -286,9 +285,8 @@ class TestSymbolicEvaluation:
             assert evaluate(p(2), n) == evaluate(e(1) ** 2 - 2 * e(2), n)
 
     def test_elementary_class_sums(self):
-        for n in range(1, 6):
-            for k in range(n + 1):
-                assert verify_elementary_class_sums(n, k)
+        report = run_suite("theorem-1.1", n=5)
+        assert len(report.checks) == 5 and report.passed
 
     def test_elementary_decomposition_by_cycle_count(self):
         for n in (3, 4, 5):
@@ -430,9 +428,8 @@ class TestTransitivityOperator:
 
 class TestTopPowerClosedForm:
     def test_small_cases(self):
-        for n in (2, 3, 4):
-            for k in (0, 1, 2):
-                assert verify_corollary_1_6(n, k), (n, k)
+        report = run_suite("corollary-1.6", n=4, kmax=2)
+        assert len(report.checks) == 9 and report.passed
 
     def test_worked_base_case(self):
         # degree n - 1 already forces every slot to appear exactly once

@@ -137,6 +137,57 @@ class TestCount:
         assert code == 0
         assert out.endswith("method=dp count=1\nmethod=formula count=1\n")
 
+    def test_listing_method(self, capsys):
+        code, out, err = run(
+            capsys, "count", "--family", "star", "--partition", "[2,1]",
+            "--genus", "1", "--method", "listing",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "family=star partition=[2,1] target=(1 2)(3) root=3 genus=1\n"
+            "method=listing count=10\n"
+        )
+
+    @pytest.mark.parametrize("argv, error", [
+        (("--partition", "[]"), "partition must be nonempty"),
+        ((), "one of --target or --partition is required"),
+    ])
+    def test_missing_target_is_refused(self, capsys, argv, error):
+        code, out, err = run(capsys, "count", "--family", "star", "--genus", "0", *argv)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("command, argv, error", [
+        # each flag would be read by no step of the command, so it is refused
+        ("count", ("--family", "star", "--target", "(1 2)", "--n", "3", "--partition", "[3]"),
+         "--partition takes no --target"),
+        ("count", ("--family", "md", "--partition", "[2,1]", "--n", "3"),
+         "--partition takes no --n"),
+        ("count", ("--family", "md", "--target", "(1 2)", "--root", "2"),
+         "family md takes no --root"),
+        ("count", ("--family", "dh", "--partition", "[2,1]", "--root", "1"),
+         "family dh takes no --root"),
+        ("count", ("--family", "star", "--target", "(1 2)", "--order", "2<1"),
+         "family star takes no --order"),
+        ("list", ("--family", "monotone", "--target", "(1 2)", "--root", "2"),
+         "family monotone takes no --root"),
+        ("list", ("--family", "md", "--target", "(1 2)", "--order", "2<1"),
+         "family md takes no --order"),
+        ("list", ("--family", "star", "--partition", "[2]", "--target", "(1 2)"),
+         "--partition takes no --target"),
+    ], ids=["count-partition-target", "count-partition-n", "count-md-root", "count-dh-root",
+            "count-star-order", "list-monotone-root", "list-md-order", "list-partition-target"])
+    def test_unread_flags_are_refused(self, capsys, command, argv, error):
+        code, out, err = run(capsys, command, *argv, "--genus", "0")
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+
+    def test_dh_disregards_method(self, capsys):
+        code, out, _ = run(
+            capsys, "count", "--family", "dh", "--partition", "[2,1]", "--genus", "0",
+            "--method", "dp",
+        )
+        assert code == 0
+        assert out == "family=dh partition=[2,1] genus=0\nmethod=listing count=2\n"
+
 
 class TestList:
     def test_star_listing(self, capsys):
@@ -239,6 +290,45 @@ class TestTrace:
             "end: family=star root=1 factors=(1 2)(1 3)(1 3) target=(1 2)(3) genus=0\n"
         )
 
+    @pytest.mark.parametrize("argv, expected", [
+        (("--map", "lambda-j-inverse", "--n", "3", "--factors", "(2 3)(1 2)",
+          "--order", "1<3<2", "--j", "2"),
+         "pos=1 move=LHM before=(2 3)(1 2) after=(1 2)(1 3)\n"
+         "end: family=monotone order=1<2<3 factors=(1 2)(1 3) target=(1 2 3) genus=0\n"),
+        (("--map", "lambda-order-inverse", "--n", "3", "--factors", "(1 2)(2 3)",
+          "--to-order", "3<2<1"),
+         "pos=1 move=LHM before=(1 2)(2 3) after=(2 3)(1 3)\n"
+         "end: family=monotone order=3<2<1 factors=(2 3)(1 3) target=(1 3 2) genus=0\n"),
+        (("--map", "delta", "--n", "3", "--factors", "(1 2)(1 3)",
+          "--conjugator", "(1 2 3)"),
+         "pos=1 move=RHM before=(1 3)(2 3) after=(1 2)(1 3)\n"
+         "end: family=monotone order=1<2<3 factors=(1 2)(1 3) target=(1 2 3) genus=0\n"),
+    ])
+    def test_inverse_and_transport_maps(self, capsys, argv, expected):
+        assert run(capsys, "trace", *argv) == (0, expected, "")
+
+    def test_unsafe_bounds_is_refused(self, capsys):
+        # a trace has no feasibility bound to override
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["trace", "--map", "gamma", "--n", "3", "--root", "3",
+                      "--legs", "1,2,1", "--unsafe-bounds"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("error: unrecognized arguments: --unsafe-bounds\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--family", "md", "--target", "(1 2)", "--genus", "0"),
+        ("list", "--family", "md", "--target", "(1 2)", "--genus", "0"),
+        ("algebra", "--n", "3", "--expr", "e[1]"),
+        ("verify", "--suite", "theorem-1.1", "--n", "2"),
+        ("table", "--nmax", "1", "--gmax", "0"),
+        ("experiment", "--name", "t-basis-agreement", "--n", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_bounded_commands_take_unsafe_bounds(self, capsys, argv):
+        assert run(capsys, *argv, "--unsafe-bounds") == run(capsys, *argv)
+        assert run(capsys, *argv)[0] == 0
+
 
 class TestAlgebra:
     def test_transitive_power_worked_example(self, capsys):
@@ -267,6 +357,26 @@ class TestAlgebra:
         code, _, err = run(capsys, "algebra", "--n", "3", "--expr", "e[2 1]")
         assert code == 2
         assert err == "error: parse error at position 4: expected ']', found '1'\n"
+
+    @pytest.mark.parametrize("expr, error", [
+        ("p[q]", "parse error at position 2: unexpected character 'q'"),
+        ("e[1] J", "parse error at position 5: unexpected 'J'"),
+        ("e[1]^J", "parse error at position 5: exponent must be an integer"),
+        ("e[2,]", "parse error at position 4: expected an integer"),
+    ])
+    def test_parse_errors(self, capsys, expr, error):
+        assert run(capsys, "algebra", "--n", "3", "--expr", expr) == (2, "", f"error: {error}\n")
+
+    def test_parentheses_and_left_associative_powers(self, capsys):
+        assert run(capsys, "algebra", "--n", "3", "--expr", "2*(J[2] + J[3])^2 - e[1]^2") == (
+            0, "3*K[1,1,1] + 3*K[3]\n", "")
+        assert run(capsys, "algebra", "--n", "3", "--expr", "p[1]^2^2") == (
+            0, "27*K[1,1,1] + 27*K[3]\n", "")
+        # (p_1^2)^3 = p_1^6, not p_1^(2^3) = p_1^8
+        assert run(capsys, "algebra", "--n", "3", "--expr", "p[1]^2^3") == run(
+            capsys, "algebra", "--n", "3", "--expr", "p[1]^6")
+        assert run(capsys, "algebra", "--n", "3", "--expr", "p[1]^2^3")[1] != run(
+            capsys, "algebra", "--n", "3", "--expr", "p[1]^8")[1]
 
     def test_nested_transitive_rejected(self, capsys):
         code, _, err = run(capsys, "algebra", "--n", "3", "--expr", "T(T(J[3]))")

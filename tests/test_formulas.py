@@ -7,19 +7,17 @@ import pytest
 from starfact import Partition, partitions_of
 from starfact.factorisations import count_monotone_double, count_star
 from starfact.formulas import (
-    agreement_row,
-    b_relation_check,
     catalan,
     central_factorial,
     closed_form,
     feray_count,
     md_full_cycle,
     md_identity,
-    recurrence_md_identity_check,
     recurrence_star,
     stirling2,
 )
 from starfact.perms import class_representative
+from starfact.verify import agreement_row, run_suite
 
 from oracles import central_factorial_direct, stirling_direct
 
@@ -183,27 +181,29 @@ class TestRecurrence:
                         ), (lam, i, genus)
 
     def test_identity_recurrence(self):
-        assert recurrence_md_identity_check(3, 1)  # 60 = 48 + 12
-        assert recurrence_md_identity_check(2, 0)  # 2 = 0 + 2
-        for n in (2, 3, 4, 5):
-            for genus in (0, 1, 2, 3):
-                assert recurrence_md_identity_check(n, genus)
-        with pytest.raises(ValueError):
-            recurrence_md_identity_check(1, 0)
+        report = run_suite("recurrence-6.3", n=5, gmax=3)
+        assert [c.label for c in report.checks] == [
+            f"identity-count recurrence holds, n={n}" for n in (2, 3, 4, 5)
+        ]
+        assert report.passed
 
 
 class TestHurwitzRelation:
+    @staticmethod
+    def outcomes(n):
+        report = run_suite("relation-6.4", n=n)
+        return {c.label.removeprefix("padded double Hurwitz relation, "): c.passed
+                for c in report.checks}
+
     def test_transposition_class(self):
-        assert b_relation_check(Partition((2,)), 0)
+        assert self.outcomes(2) == {
+            f"alpha={alpha}, g={g}": True for alpha in ("[2]", "[1,1]") for g in (0, 1, 2)
+        }
 
     def test_two_fixed_points(self):
-        assert b_relation_check(Partition((1, 1)), 0)
-
-    def test_rejects_small_or_negative(self):
-        with pytest.raises(ValueError):
-            b_relation_check(Partition((1,)), 0)
-        with pytest.raises(ValueError):
-            b_relation_check(Partition((2,)), -1)
+        outcomes = self.outcomes(3)
+        assert len(outcomes) == 15 and all(outcomes.values())
+        assert outcomes["alpha=[1,1], g=0"] and outcomes["alpha=[1,1,1], g=2"]
 
 
 class TestAgreementTable:

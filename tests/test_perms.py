@@ -5,7 +5,7 @@ import pickle
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from starfact import Partition, Permutation, TotalOrder, Transposition, partitions_of
