@@ -13,7 +13,8 @@ Built from these:
                       natural-monotone ones (and back),
 * ``gamma``           turns a star factorisation into a (full cycle,
                       monotone tail) factorisation,
-* ``reroot``          moves a star factorisation to a different root,
+* ``reroot``          moves a star factorisation to a different root
+                      (``reroot_all`` to every root at once),
 * ``delta``/``theta`` transport factorisations along a conjugation,
 * ``centrality_witness``  maps star factorisations of a target to star
                       factorisations of any conjugate target.
@@ -24,7 +25,10 @@ inverse), ``_to_natural`` and ``_from_natural`` (swaps composed along
 ``sort_swaps`` of an order sequence), ``_cycle_form`` and ``_star_legs``
 (star legs to and from the cycle form) and ``_transport`` (conjugation).
 No record or order value is built inside the core; each public map builds
-and validates the one record it returns, at the end.
+and validates the one record it returns, at the end.  Along a bubble sort
+the core keeps each factor's larger symbol in one list of ints, and skips
+the idle steps: a swap whose (j+1)-st order symbol is the larger symbol of
+no factor moves nothing and records no step, so only the order changes.
 
 Every function takes an optional ``trace`` list and appends one
 :class:`TraceStep` per elementary move, so each rewrite is replayable.
@@ -78,7 +82,8 @@ def _through(u: Transposition, t: Transposition) -> Transposition:
         b = y
     elif b == y:
         b = x
-    return Transposition(a, b)
+    # two distinct symbols stay distinct, so the pair needs no re-validation
+    return tuple.__new__(Transposition, (a, b) if a < b else (b, a))
 
 
 def rhm(pair: tuple[Transposition, Transposition]) -> tuple[Transposition, Transposition]:
@@ -98,7 +103,8 @@ def _apply(facs: list, k: int, move: str, trace: list | None) -> None:
     after = lhm(before) if move == "LHM" else rhm(before)
     facs[k], facs[k + 1] = after
     if trace is not None:
-        trace.append(TraceStep(k + 1, move, before, after))
+        # tuple.__new__ skips the namedtuple's Python-level constructor
+        trace.append(tuple.__new__(TraceStep, (k + 1, move, before, after)))
 
 
 def replay(factors: Sequence[Transposition], steps: Iterable[TraceStep]) -> tuple[Transposition, ...]:
@@ -116,80 +122,92 @@ def replay(factors: Sequence[Transposition], steps: Iterable[TraceStep]) -> tupl
 # the rewrite core: plain factor lists, no records
 
 
-def _larger(rank: list[int], t: Transposition) -> int:
-    a, b = t
-    return b if rank[a] < rank[b] else a
-
-
-def _swap(facs: list, seq: list[int], rank: list[int], j: int, trace: list | None) -> None:
+def _swap(facs: list, big: list[int], seq: list[int], j: int, trace: list | None) -> None:
     """The two stages of :func:`lambda_j` on a factor list monotone for the
-    order ``seq`` (``rank`` is its inverse, indexed by symbol); both then
-    describe the order with positions j, j+1 exchanged."""
+    order ``seq``, with ``big`` holding each factor's larger symbol under
+    it; all three then describe the order with positions j, j+1 exchanged."""
     ij, ij1 = seq[j - 1], seq[j]
-    special = Transposition(ij, ij1)
+    m = len(facs)
 
-    movers = [idx for idx, t in enumerate(facs) if _larger(rank, t) == ij]
+    # a mover keeps ij and the factor it passes keeps ij1 as larger symbol
+    movers = [k for k, s in enumerate(big) if s == ij]
     for k in reversed(movers):
-        while k + 1 < len(facs) and _larger(rank, facs[k + 1]) == ij1:
+        while k + 1 < m and big[k + 1] == ij1:
             _apply(facs, k, "RHM", trace)
+            big[k], big[k + 1] = ij1, ij
             k += 1
 
-    specials = [idx for idx, t in enumerate(facs) if t == special]
+    # each (ij ij1), rightmost first, passes the factors (s ij1) after it,
+    # which become (s ij); it takes its larger symbol under the exchanged
+    # order, ij, where it settles, so the next one to its left stops there
+    specials = [k for k, s in enumerate(big) if s == ij1 and ij in facs[k]]
     for k in reversed(specials):
-        while k + 1 < len(facs) and facs[k + 1] != special and _larger(rank, facs[k + 1]) == ij1:
+        while k + 1 < m and big[k + 1] == ij1:
             _apply(facs, k, "S2", trace)
+            big[k] = ij
             k += 1
+        big[k] = ij
 
     seq[j - 1], seq[j] = ij1, ij
-    rank[ij], rank[ij1] = rank[ij1], rank[ij]
 
 
-def _unswap(facs: list, seq: list[int], rank: list[int], j: int, trace: list | None) -> None:
+def _unswap(facs: list, big: list[int], seq: list[int], j: int, trace: list | None) -> None:
     """Undo :func:`_swap`: ``facs`` is monotone for ``seq``, and afterwards
     for ``seq`` with positions j, j+1 exchanged back."""
     ij, ij1 = seq[j], seq[j - 1]
     seq[j - 1], seq[j] = ij, ij1
-    rank[ij], rank[ij1] = rank[ij1], rank[ij]
-    special = Transposition(ij, ij1)
 
-    # undo stage 2: leftmost swapped-pair occurrence first, move left past
-    # its own restored block
-    specials = [idx for idx, t in enumerate(facs) if t == special]
+    # undo stage 2: leftmost (ij ij1) first, move left past its own restored
+    # block; back in the restored order its larger symbol is ij1
+    specials = [k for k, s in enumerate(big) if s == ij and ij1 in facs[k]]
     for k in specials:
-        while k - 1 >= 0 and facs[k - 1] != special and _larger(rank, facs[k - 1]) == ij:
+        while k > 0 and big[k - 1] == ij:
             _apply(facs, k - 1, "LHM", trace)
+            big[k] = ij1
             k -= 1
+        big[k] = ij1
 
     # undo stage 1: factors whose source-order larger symbol is the j-th
     # element, leftmost first, move left past the (j+1)-st block
-    movers = [idx for idx, t in enumerate(facs) if _larger(rank, t) == ij]
+    movers = [k for k, s in enumerate(big) if s == ij]
     for k in movers:
-        while k - 1 >= 0 and _larger(rank, facs[k - 1]) == ij1:
+        while k > 0 and big[k - 1] == ij1:
             _apply(facs, k - 1, "LHM", trace)
+            big[k - 1], big[k] = ij, ij1
             k -= 1
 
 
-def _order_lists(sequence) -> tuple[list[int], list[int]]:
-    """The order ``sequence`` as a list, and its ranks as a list indexed by symbol."""
+def _order_lists(sequence, facs: list) -> tuple[list[int], list[int]]:
+    """The order ``sequence`` as a list, and the larger symbol of each factor under it."""
     rank = [0] * (len(sequence) + 1)
     for r, s in enumerate(sequence, 1):
         rank[s] = r
-    return list(sequence), rank
+    return list(sequence), [b if rank[a] < rank[b] else a for a, b in facs]
 
 
 def _to_natural(facs: list, sequence: tuple[int, ...], trace: list | None) -> None:
     """Rewrite ``facs`` from monotone for the order ``sequence`` to
-    natural-monotone by one :func:`_swap` per step of its bubble sort."""
-    seq, rank = _order_lists(sequence)
+    natural-monotone by one :func:`_swap` per step of its bubble sort that
+    is not idle."""
+    seq, big = _order_lists(sequence, facs)
     for j in sort_swaps(sequence):
-        _swap(facs, seq, rank, j, trace)
+        if seq[j] in big:
+            _swap(facs, big, seq, j, trace)
+        else:
+            seq[j - 1], seq[j] = seq[j], seq[j - 1]
 
 
 def _from_natural(facs: list, sequence: tuple[int, ...], trace: list | None) -> None:
-    """Inverse of :func:`_to_natural`."""
-    seq, rank = _order_lists(range(1, len(sequence) + 1))
+    """Inverse of :func:`_to_natural`, skipping the same idle steps: those
+    where the symbol at position j is the larger symbol of no factor, nor
+    (once restored to position j+1) of the pair of the exchanged symbols."""
+    seq, big = _order_lists(range(1, len(sequence) + 1), facs)
     for j in reversed(sort_swaps(sequence)):
-        _unswap(facs, seq, rank, j, trace)
+        ij, ij1 = seq[j], seq[j - 1]
+        if ij1 in big or (ij in big and any(ij1 in t for t in facs if ij in t)):
+            _unswap(facs, big, seq, j, trace)
+        else:
+            seq[j - 1], seq[j] = ij, ij1
     if tuple(seq) != sequence:
         raise AssertionError("swap composition did not reach the requested order")
 
@@ -274,8 +292,8 @@ def _adjacent(f: MonotoneFactorisation, j: int, stage, trace: list | None) -> Mo
     if not 1 <= j <= f.n - 1:
         raise ValueError(f"swap position {j} outside [1, {f.n - 1}]")
     facs = list(f.factors)
-    seq, rank = _order_lists(f.order.sequence)
-    stage(facs, seq, rank, j, trace)
+    seq, big = _order_lists(f.order.sequence, facs)
+    stage(facs, big, seq, j, trace)
     return MonotoneFactorisation(f.n, TotalOrder(seq), tuple(facs), f.target, f.genus)
 
 
@@ -372,11 +390,21 @@ def gamma_inverse(
     return _star(n, n, _star_legs(n, md.sigma, md.factors, n, trace), md.target, md.genus)
 
 
+def _rerooted(f: StarFactorisation, form, root: int, trace: list | None) -> StarFactorisation:
+    """The star factorisation at ``root`` read from ``form``, the cycle form of ``f``."""
+    sigma, tail = form
+    return _star(f.n, root, _star_legs(f.n, sigma, tail, root, trace), f.target, f.genus)
+
+
 def reroot(f: StarFactorisation, root: int, trace: list | None = None) -> StarFactorisation:
     """The same-genus star factorisation of the same target with a new root."""
-    sigma, tail = _cycle_form(f.n, f.root, f.legs, trace)
-    legs = _star_legs(f.n, sigma, tail, root, trace)
-    return _star(f.n, root, legs, f.target, f.genus)
+    return _rerooted(f, _cycle_form(f.n, f.root, f.legs, trace), root, trace)
+
+
+def reroot_all(f: StarFactorisation) -> tuple[StarFactorisation, ...]:
+    """``reroot(f, r)`` for r = 1, ..., n, all read from one cycle form."""
+    form = _cycle_form(f.n, f.root, f.legs, None)
+    return tuple(_rerooted(f, form, r, None) for r in range(1, f.n + 1))
 
 
 def centrality_witness(

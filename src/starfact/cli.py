@@ -506,7 +506,22 @@ def _end_line(obj) -> str:
     )
 
 
+# map -> the flags it reads besides --n and --target: its input's, then its own
+_STAR, _MONO, _MD = ("--root", "--legs"), ("--factors", "--order"), ("--sigma", "--tail")
+_TRACE_READS = {
+    "gamma": _STAR, "gamma-inverse": _MD,
+    "lambda-j": _MONO + ("--j",), "lambda-j-inverse": _MONO + ("--j",),
+    "lambda-order": _MONO, "lambda-order-inverse": _MONO + ("--to-order",),
+    "delta": _MONO + ("--conjugator",), "theta": _MD + ("--conjugator",),
+    "reroot": _STAR + ("--new-root",), "witness": _STAR + ("--to-target",),
+}
+
+
 def cmd_trace(args) -> int:
+    reads = _TRACE_READS[args.map]
+    for flag in dict.fromkeys(sum(_TRACE_READS.values(), ())):
+        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"--map {args.map} takes no {flag}")
     if args.n is not None:
         _check_bound(args, "n", args.n, None, "trace")
     trace: list = []

@@ -109,19 +109,20 @@ class StarFactorisation:
             raise ValueError(f"root {root} outside [{n}]")
         if self.target.n != n:
             raise ValueError("target degree differs from n")
-        if any(a == root or not 1 <= a <= n for a in self.legs):
+        legs = self.legs
+        if legs and (root in legs or min(legs) < 1 or max(legs) > n):
             raise ValueError(f"legs must avoid the root and stay in [{n}]")
-        missing = set(range(1, n + 1)) - {root} - set(self.legs)
+        missing = set(range(1, n + 1)) - {root} - set(legs)
         if missing:
             t = Transposition(min(missing), root)
             raise ConditionViolation("S2'", f"{t} never appears")
         c = self.target.cycle_count
-        if self.genus < 0 or len(self.legs) != n + c - 2 + 2 * self.genus:
+        if self.genus < 0 or len(legs) != n + c - 2 + 2 * self.genus:
             raise ConditionViolation(
                 "S1",
-                f"length {len(self.legs)} != {n} + {c} - 2 + 2*{self.genus}",
+                f"length {len(legs)} != {n} + {c} - 2 + 2*{self.genus}",
             )
-        if _product(n, ((a, root) for a in self.legs)) != self.target.images:
+        if _product(n, zip(legs, repeat(root))) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
 
     @classmethod
@@ -170,18 +171,22 @@ class MonotoneFactorisation:
         n = self.n
         if self.order.n != n or self.target.n != n:
             raise ValueError("order/target degree differs from n")
-        if any(t.b > n for t in self.factors):
+        factors = self.factors
+        if factors and max(map(itemgetter(1), factors)) > n:
             raise ValueError(f"factor symbol outside [{n}]")
-        rank = self.order.rank
-        ranks = [max(rank(a), rank(b)) for a, b in self.factors]
-        if any(x > y for x, y in zip(ranks, ranks[1:])):
-            raise ConditionViolation("H2", f"larger symbols not weakly increasing under {self.order}")
+        rank = self.order._rank
+        last = 0
+        for a, b in factors:
+            r = rank[a] if rank[a] > rank[b] else rank[b]
+            if r < last:
+                raise ConditionViolation("H2", f"larger symbols not weakly increasing under {self.order}")
+            last = r
         c = self.target.cycle_count
-        if self.genus < 0 or len(self.factors) != n - c + 2 * self.genus:
+        if self.genus < 0 or len(factors) != n - c + 2 * self.genus:
             raise ConditionViolation(
-                "H1", f"length {len(self.factors)} != {n} - {c} + 2*{self.genus}"
+                "H1", f"length {len(factors)} != {n} - {c} + 2*{self.genus}"
             )
-        if _product(n, self.factors) != self.target.images:
+        if _product(n, factors) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
 
     @classmethod
@@ -220,19 +225,22 @@ class MonotoneDoubleFactorisation:
         n = self.n
         if self.sigma.n != n or self.target.n != n:
             raise ValueError("sigma/target degree differs from n")
-        if any(t.b > n for t in self.factors):
+        factors = self.factors
+        if factors and max(map(itemgetter(1), factors)) > n:
             raise ValueError(f"factor symbol outside [{n}]")
         if self.sigma.cycle_count != 1:
             raise ConditionViolation("H0", f"{self.sigma} is not a full cycle")
         c = self.target.cycle_count
-        if self.genus < 0 or len(self.factors) != c - 1 + 2 * self.genus:
+        if self.genus < 0 or len(factors) != c - 1 + 2 * self.genus:
             raise ConditionViolation(
-                "H1", f"tail length {len(self.factors)} != {c} - 1 + 2*{self.genus}"
+                "H1", f"tail length {len(factors)} != {c} - 1 + 2*{self.genus}"
             )
-        bs = [t.b for t in self.factors]
-        if any(x > y for x, y in zip(bs, bs[1:])):
-            raise ConditionViolation("H2", "larger symbols not weakly increasing")
-        if _product(n, self.factors, self.sigma) != self.target.images:
+        last = 0
+        for _, b in factors:
+            if b < last:
+                raise ConditionViolation("H2", "larger symbols not weakly increasing")
+            last = b
+        if _product(n, factors, self.sigma) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
 
     @classmethod

@@ -37,6 +37,7 @@ from .bijections import (
     lambda_order,
     lambda_order_inverse,
     reroot,
+    reroot_all,
     theta,
 )
 from .factorisations import (
@@ -471,15 +472,21 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
                 )
             )
 
-            # rerooting is a bijection between root classes
+            # rerooting is a bijection between root classes; a round trip
+            # reads the image's own rerootings
             ok = True
+            roots = range(1, nn + 1)
             for w in symmetric_group(nn):
-                for r in range(1, nn + 1):
-                    for r2 in range(1, nn + 1):
-                        image = [reroot(f, r2) for f in stars(w, r)]
+                rows = [list(map(reroot_all, stars(w, r))) for r in roots]
+                by_record = [dict(zip(stars(w, r), rows[r - 1])) for r in roots]
+                for r in roots:
+                    for r2 in roots:
+                        back = by_record[r2 - 1]
+                        image = [row[r2 - 1] for row in rows[r - 1]]
                         if set(image) != set(stars(w, r2)):
                             ok = False
-                        if any(reroot(im, r) != f for f, im in zip(stars(w, r), image)):
+                        if any(im not in back or back[im][r - 1] != f
+                               for f, im in zip(stars(w, r), image)):
                             ok = False
             checks.append(
                 CheckResult(f"rerooting bijective with round trips, n={nn}, g={g}", ok)

@@ -28,6 +28,7 @@ from starfact.bijections import (
     lhm,
     replay,
     reroot,
+    reroot_all,
     rhm,
     theta,
 )
@@ -44,6 +45,7 @@ from starfact.perms import (
     conjugacy_classes,
     sort_swaps,
 )
+from starfact.verify import order_panel
 
 
 def perm(text, n=None):
@@ -248,6 +250,93 @@ class TestOrderChange:
             lambda_order_inverse(f, order)
 
 
+def composed_lambda_order(f, trace):
+    """``lambda_order`` as the definition spells it: one ``lambda_j`` per
+    step of the bubble sort, idle steps included."""
+    for j in sort_swaps(f.order.sequence):
+        f = lambda_j(f, j, trace)
+    return f
+
+
+def composed_lambda_order_inverse(f, order, trace):
+    for j in reversed(sort_swaps(order.sequence)):
+        f = lambda_j_inverse(f, j, trace)
+    assert f.order == order
+    return f
+
+
+def monotone_record(n, sequence, facs):
+    target = Permutation.identity(n)
+    for t in facs:
+        target = target * t.as_permutation(n)
+    return MonotoneFactorisation.from_factors(n, TotalOrder(sequence), facs, target)
+
+
+def composed_to_natural(facs, sequence, trace):
+    nat = composed_lambda_order(monotone_record(len(sequence), sequence, facs), trace)
+    facs[:] = nat.factors
+
+
+def composed_from_natural(facs, sequence, trace):
+    n = len(sequence)
+    nat = monotone_record(n, range(1, n + 1), facs)
+    facs[:] = composed_lambda_order_inverse(nat, TotalOrder(sequence), trace).factors
+
+
+class TestIdleStepsSkipped:
+    """The order rewrites skip the bubble steps that move nothing; composing
+    the public ``lambda_j`` at every step must give the same records and the
+    same traces, step for step."""
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_lambda_order_is_the_composed_swaps(self, genus):
+        idle = active = 0
+        for order in order_panel(4):
+            for target in symmetric_group(4):
+                for f in enumerate_monotone(target, genus, order):
+                    direct, composed = [], []
+                    nat = lambda_order(f, direct)
+                    assert composed_lambda_order(f, composed) == nat
+                    assert composed == direct
+                    direct, composed = [], []
+                    back = lambda_order_inverse(nat, order, direct)
+                    assert composed_lambda_order_inverse(nat, order, composed) == back == f
+                    assert composed == direct
+                    # both kinds of step occur; an idle one keeps every factor
+                    step = f
+                    for j in sort_swaps(order.sequence):
+                        after = lambda_j(step, j)
+                        if step.order.sequence[j] in map(step.order.larger_of, step.factors):
+                            active += 1
+                        else:
+                            assert after.factors == step.factors
+                            idle += 1
+                        step = after
+        assert idle and active
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_gamma_tail_rewrites_are_the_composed_swaps(self, genus, monkeypatch):
+        stars = [f for target in symmetric_group(4) for root in range(1, 5)
+                 for f in enumerate_star(target, genus, root)]
+        mds = [md for target in symmetric_group(4)
+               for md in enumerate_monotone_double(target, genus)]
+
+        def run_all():
+            out = []
+            for f in stars:
+                trace = []
+                out.append((gamma(f, trace), trace))
+            for md in mds:
+                trace = []
+                out.append((gamma_inverse(md, trace), trace))
+            return out
+
+        direct = run_all()
+        monkeypatch.setattr(bijections, "_to_natural", composed_to_natural)
+        monkeypatch.setattr(bijections, "_from_natural", composed_from_natural)
+        assert run_all() == direct
+
+
 class TestValidatedOnce:
     def test_each_map_builds_one_record(self, monkeypatch):
         # the rewrites run on plain factor lists; only the returned record is
@@ -380,6 +469,12 @@ class TestReroot:
                         assert reroot(out, r) == f
                         image.add(out.legs)
                     assert image == {g.legs for g in by_root[s]}
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_all_roots_at_once(self, genus):
+        for target in symmetric_group(4):
+            for f in enumerate_star(target, genus, 2):
+                assert reroot_all(f) == tuple(reroot(f, r) for r in range(1, 5))
 
     def test_push_back_check_fires_when_moves_are_lost(self, monkeypatch):
         # with Hurwitz moves turned into no-ops only the push-back stage needs

@@ -307,6 +307,28 @@ class TestTrace:
     def test_inverse_and_transport_maps(self, capsys, argv, expected):
         assert run(capsys, "trace", *argv) == (0, expected, "")
 
+    @pytest.mark.parametrize("argv, error", [
+        (("--map", "gamma", "--n", "3", "--root", "3", "--legs", "1,2,1", "--order", "3<2<1",
+          "--j", "2", "--conjugator", "(1 2)"), "--map gamma takes no --order"),
+        (("--map", "gamma-inverse", "--n", "3", "--sigma", "(1 2 3)", "--root", "3"),
+         "--map gamma-inverse takes no --root"),
+        (("--map", "lambda-order", "--n", "3", "--factors", "(1 2)", "--j", "1"),
+         "--map lambda-order takes no --j"),
+        (("--map", "lambda-j", "--n", "3", "--factors", "(1 2)", "--j", "1",
+          "--to-order", "3<2<1"), "--map lambda-j takes no --to-order"),
+        (("--map", "delta", "--n", "3", "--factors", "(1 2)", "--conjugator", "(1 2)",
+          "--tail", "(1 2)"), "--map delta takes no --tail"),
+        (("--map", "theta", "--n", "3", "--sigma", "(1 2 3)", "--conjugator", "(1 2)",
+          "--new-root", "1"), "--map theta takes no --new-root"),
+        (("--map", "reroot", "--n", "3", "--root", "3", "--legs", "1,2,1", "--new-root", "1",
+          "--to-target", "(1 3)"), "--map reroot takes no --to-target"),
+        (("--map", "witness", "--n", "3", "--root", "3", "--legs", "1,2,1",
+          "--to-target", "(1 3)", "--factors", "(1 2)"), "--map witness takes no --factors"),
+    ], ids=["gamma-order", "gamma-inverse-root", "lambda-order-j", "lambda-j-to-order",
+            "delta-tail", "theta-new-root", "reroot-to-target", "witness-factors"])
+    def test_unread_flags_are_refused(self, capsys, argv, error):
+        assert run(capsys, "trace", *argv) == (2, "", f"error: {error}\n")
+
     def test_unsafe_bounds_is_refused(self, capsys):
         # a trace has no feasibility bound to override
         with pytest.raises(SystemExit) as exc:
@@ -536,7 +558,7 @@ class TestVerify:
         monkeypatch.setitem(
             SUITES,
             "always-fails",
-            SuiteSpec("always-fails", doomed, "injected for exit-code test"),
+            SuiteSpec("always-fails", doomed, {}),
         )
         code, out, _ = run(capsys, "verify", "--suite", "always-fails")
         assert code == 1

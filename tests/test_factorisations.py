@@ -641,6 +641,19 @@ RECORD_CHECKS = [
     ('md H2', 'MonotoneDoubleFactorisation(3, perm("(1 2 3)"), (T(1, 3), T(1, 2)), perm("(1)(2)(3)"), 0)', 'ConditionViolation', 'condition H2 violated: larger symbols not weakly increasing'),
     ('md product', 'MonotoneDoubleFactorisation(3, perm("(1 2 3)"), (T(1, 2),), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition product violated: factors do not multiply to (1 2)(3)'),
     ('md from_factors H1', 'MonotoneDoubleFactorisation.from_factors(3, perm("(1 2 3)"), (T(1, 2),), perm("(1 2 3)"))', 'ConditionViolation', 'condition H1 violated: tail length 1 has no genus: 1 - 1 + 2g'),
+    # two conditions broken at once, the later one earlier in the tuple: the
+    # check made first must still be the one that reports
+    ("star leg range before S2'", 'StarFactorisation(4, 4, (1, 1, 5), perm("(1 2)(3)(4)"), 0)', 'ValueError', 'legs must avoid the root and stay in [4]'),
+    ("star leg at root before S2'", 'StarFactorisation(3, 3, (1, 1, 3), perm("(1 2)(3)"), 0)', 'ValueError', 'legs must avoid the root and stay in [3]'),
+    ("star S2' before S1", 'StarFactorisation(3, 3, (1, 1, 1, 1, 1), perm("(1 2)(3)"), 0)', 'ConditionViolation', "condition S2' violated: (2 3) never appears"),
+    ('star S1 before product', 'StarFactorisation(3, 3, (1, 2, 2, 1), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition S1 violated: length 4 != 3 + 2 - 2 + 2*0'),
+    ('monotone symbol range before H2', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 3), T(1, 2), T(1, 4)), perm("(1 2)(3)"), 0)', 'ValueError', 'factor symbol outside [3]'),
+    ('monotone H2 before H1', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 3), T(1, 2), T(1, 2)), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition H2 violated: larger symbols not weakly increasing under 1<2<3'),
+    ('monotone H1 before product', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 3), T(1, 3), T(2, 3)), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition H1 violated: length 3 != 3 - 2 + 2*0'),
+    ('md symbol range before H0 and H2', 'MonotoneDoubleFactorisation(3, perm("(1 2)(3)"), (T(1, 3), T(1, 2), T(2, 5)), perm("(1 2 3)"), 0)', 'ValueError', 'factor symbol outside [3]'),
+    ('md H0 before H2', 'MonotoneDoubleFactorisation(3, perm("(1 2)(3)"), (T(1, 3), T(1, 2)), perm("(1 2 3)"), 0)', 'ConditionViolation', 'condition H0 violated: (1 2)(3) is not a full cycle'),
+    ('md H1 before H2', 'MonotoneDoubleFactorisation(3, perm("(1 2 3)"), (T(1, 3), T(1, 2), T(1, 2)), perm("(1 2 3)"), 0)', 'ConditionViolation', 'condition H1 violated: tail length 3 != 1 - 1 + 2*0'),
+    ('md H2 before product', 'MonotoneDoubleFactorisation(3, perm("(1 2 3)"), (T(1, 3), T(1, 2)), perm("(1 2 3)"), 1)', 'ConditionViolation', 'condition H2 violated: larger symbols not weakly increasing'),
 ]
 
 RECORD_CHECK_PRELUDE = """
