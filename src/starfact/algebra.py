@@ -434,9 +434,9 @@ def _transitive_moves(slots: tuple[int, ...], aux):
             for i, joined in enumerate(_transitive_move_list(blocks, j), 1)]
 
 
-# Monomial values kept by ``_transitive_monomial``; the largest uses in the
-# package need fewer: 786 for verify theorem-1.7 at its caps, 715 for
-# experiment span-dimension at n = 5.
+# Monomial values kept by ``_transitive_monomial``; the largest uses need
+# fewer: 786 for verify theorem-1.7 at its caps, 923 for
+# demos/span_dimension.py over n = 2..5.
 _MONOMIAL_CACHE_SIZE = 1024
 
 

@@ -122,15 +122,33 @@ def _parse_factors(text: str) -> tuple[Transposition, ...]:
     return tuple(out)
 
 
-def _check_bound(args, name: str, value: int, cap: int | None, what: str) -> None:
-    least = 1 if name in ("n", "nmax") else 0
-    if value < least:
-        raise UsageError(f"--{name} must be at least {least} (got {value})")
-    if cap is not None and value > cap and not args.unsafe_bounds:
-        raise UsageError(
-            f"bound exceeded for {what}: {name} <= {cap} (got {name}={value}); "
-            "pass --unsafe-bounds to override"
-        )
+# what a bound guards -> the largest value of each flag it reads; a
+# verification suite brings its own caps from ``verify.SUITES``
+_CAPS = {
+    "DP counting": {"n": 6, "genus": 8},
+    "listing": {"n": 5, "genus": 2},
+    "double Hurwitz enumeration": {"n": 7, "genus": 1},
+    "group algebra": {"n": 6},
+    "transitive evaluation": {"n": 5},
+    "agreement table": {"nmax": 5, "gmax": 2},
+    "trace": {},
+}
+
+
+def _check_bound(args, what: str, caps: dict | None = None, **values: int) -> None:
+    """Refuse each value below its floor and, unless --unsafe-bounds is
+    given, above its cap in ``caps`` (by default ``_CAPS[what]``)."""
+    caps = _CAPS[what] if caps is None else caps
+    for name, value in values.items():
+        least = 1 if name in ("n", "nmax", "wmax") else 0
+        if value < least:
+            raise UsageError(f"--{name} must be at least {least} (got {value})")
+        cap = caps.get(name)
+        if cap is not None and value > cap and not args.unsafe_bounds:
+            raise UsageError(
+                f"bound exceeded for {what}: {name} <= {cap} (got {name}={value}); "
+                "pass --unsafe-bounds to override"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +320,6 @@ def _emit(args, command: str, config: dict, results, passed: bool, text_lines) -
 # count and list
 
 
-_DP_N_CAP = 6
-_DP_G_CAP = 8
-_LIST_N_CAP = 5
-_LIST_G_CAP = 2
-_DH_N_CAP = 7
-_DH_G_CAP = 1
-
-# method -> (n cap, genus cap, what the bound guards)
-_BOUNDS = {
-    "dp": (_DP_N_CAP, _DP_G_CAP, "DP counting"),
-    "listing": (_LIST_N_CAP, _LIST_G_CAP, "listing"),
-    "dh": (_DH_N_CAP, _DH_G_CAP, "double Hurwitz enumeration"),
-}
-
 # family -> (DP counter, lister, closed form): the counter and the lister
 # are called as (target, genus, *extra), the closed form as (class, genus)
 _FAMILIES = {
@@ -323,12 +327,6 @@ _FAMILIES = {
     "monotone": (count_monotone, enumerate_monotone, None),
     "md": (count_monotone_double, enumerate_monotone_double, closed_form),
 }
-
-
-def _check_bounds(args, method: str, n: int, genus: int) -> None:
-    n_cap, g_cap, what = _BOUNDS[method]
-    _check_bound(args, "n", n, n_cap, what)
-    _check_bound(args, "genus", genus, g_cap, what)
 
 
 def _resolve_input(args) -> tuple[Permutation, Partition | None, int]:
@@ -379,7 +377,7 @@ def _count_one(args, method: str, target: Permutation, lam: Partition | None,
         if value is None:
             raise UsageError(f"no closed form for family {args.family} at class {shape}")
         return value
-    _check_bounds(args, method, target.n, genus)
+    _check_bound(args, "DP counting" if method == "dp" else "listing", n=target.n, genus=genus)
     if method == "dp":
         return counter(target, genus, *extra)
     return len(lister(target, genus, *extra))
@@ -389,7 +387,7 @@ def cmd_count(args) -> int:
     target, lam, genus = _resolve_input(args)
     if args.family == "dh":
         beta = lam if lam is not None else target.cycle_type()
-        _check_bounds(args, "dh", beta.n, genus)
+        _check_bound(args, "double Hurwitz enumeration", n=beta.n, genus=genus)
         config = {"family": "dh", "partition": str(beta), "genus": genus}
         results = [{"method": "listing", "count": b_number(beta.n, beta, genus)}]
     else:
@@ -420,7 +418,7 @@ def cmd_count(args) -> int:
 
 def cmd_list(args) -> int:
     target, _, genus = _resolve_input(args)
-    _check_bounds(args, "listing", target.n, genus)
+    _check_bound(args, "listing", n=target.n, genus=genus)
     config: dict = {"family": args.family, "target": str(target), "genus": genus}
     family_config, extra = _family_extra(args, target.n)
     config.update(family_config)
@@ -523,7 +521,7 @@ def cmd_trace(args) -> int:
         if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
             raise UsageError(f"--map {args.map} takes no {flag}")
     if args.n is not None:
-        _check_bound(args, "n", args.n, None, "trace")
+        _check_bound(args, "trace", n=args.n)
     trace: list = []
     if args.map == "gamma":
         result = gamma(_star_input(args), trace)
@@ -577,10 +575,6 @@ def cmd_trace(args) -> int:
 # algebra
 
 
-_ALGEBRA_N_CAP = 6
-_ALGEBRA_T_N_CAP = 5
-
-
 def _contains_t(node) -> bool:
     if node[0] == "T":
         return True
@@ -594,10 +588,7 @@ def _contains_t(node) -> bool:
 def cmd_algebra(args) -> int:
     n = args.n
     node = parse_expression(args.expr)
-    if _contains_t(node):
-        _check_bound(args, "n", n, _ALGEBRA_T_N_CAP, "transitive evaluation")
-    else:
-        _check_bound(args, "n", n, _ALGEBRA_N_CAP, "group algebra")
+    _check_bound(args, "transitive evaluation" if _contains_t(node) else "group algebra", n=n)
     element = _value(node, n)
     config = {"n": n, "expr": args.expr}
     try:
@@ -642,7 +633,7 @@ def cmd_verify(args) -> int:
             continue
         if name not in spec.defaults:
             raise UsageError(f"suite {args.suite} takes no --{name}")
-        _check_bound(args, name, value, spec.caps.get(name), f"suite {args.suite}")
+        _check_bound(args, f"suite {args.suite}", spec.caps, **{name: value})
         overrides[name] = value
     report = run_suite(args.suite, **overrides)
     config = {"suite": args.suite, **spec.defaults, **overrides}
@@ -661,13 +652,8 @@ def cmd_verify(args) -> int:
 # table
 
 
-_TABLE_N_CAP = 5
-_TABLE_G_CAP = 2
-
-
 def cmd_table(args) -> int:
-    _check_bound(args, "nmax", args.nmax, _TABLE_N_CAP, "agreement table")
-    _check_bound(args, "gmax", args.gmax, _TABLE_G_CAP, "agreement table")
+    _check_bound(args, "agreement table", nmax=args.nmax, gmax=args.gmax)
     rows = []
     for n in range(1, args.nmax + 1):
         for lam in partitions_of(n):
@@ -701,97 +687,6 @@ def cmd_table(args) -> int:
         for line in lines:
             print(line)
     return 0 if passed else 1
-
-
-# ---------------------------------------------------------------------------
-# experiments (exploratory output, no pass/fail contract beyond what's shown)
-
-
-_EXPERIMENT_N_CAP = {"t-basis-agreement": 4, "span-dimension": 5}
-
-
-def _newton_e_basis(k: int) -> SymExpr:
-    """The k-th power sum written in the elementary basis, k <= 4."""
-    e1, e2, e3, e4 = e(1), e(2), e(3), e(4)
-    table = {
-        1: e1,
-        2: e1 ** 2 - 2 * e2,
-        3: e1 ** 3 - 3 * e1 * e2 + 3 * e3,
-        4: e1 ** 4 - 4 * e1 ** 2 * e2 + 2 * e2 ** 2 + 4 * e1 * e3 - 4 * e4,
-    }
-    return table[k]
-
-
-def _span_dimension(vectors: list[list[int]]) -> int:
-    """Rank over the rationals by Gaussian elimination on `Fraction` rows."""
-    from fractions import Fraction
-
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def cmd_experiment(args) -> int:
-    n = args.n
-    cap = _EXPERIMENT_N_CAP[args.name]
-    if n < 2:
-        raise UsageError("--n must be at least 2")
-    _check_bound(args, "n", n, cap, f"experiment {args.name}")
-    config = {"name": args.name, "n": n}
-
-    if args.name == "t-basis-agreement":
-        # the transitivity operator is applied to one fixed monomial
-        # expansion; this compares the value across two different
-        # expressions of the same power sum
-        results = []
-        lines = []
-        for k in range(1, 5):
-            direct = transitive_evaluate(p(k), n)
-            via_e = transitive_evaluate(_newton_e_basis(k), n)
-            agree = direct == via_e
-            results.append({"power_sum": k, "agree": agree})
-            lines.append(f"power_sum={k} e-basis and p-basis transitive values "
-                         f"{'agree' if agree else 'DIFFER'}")
-        passed = all(r["agree"] for r in results)
-        _emit(args, "experiment", config, results, passed, lines)
-        return 0 if passed else 1
-
-    # span-dimension: linear span of the transitive values of the
-    # elementary basis, weight up to n+4, inside the centre
-    lams = []
-    for w in range(0, n + 5):
-        for lam in partitions_of(w):
-            if all(part <= n - 1 for part in lam):
-                lams.append(lam)
-    classes = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(classes)}
-    vectors = []
-    for lam in lams:
-        el = transitive_evaluate(e(*lam.parts), n)
-        decomp = el.decompose()
-        vec = [0] * len(classes)
-        for cls, coeff in decomp.items():
-            vec[index[cls]] = coeff
-        vectors.append(vec)
-    dim = _span_dimension(vectors)
-    results = [{"n": n, "functions": len(lams), "span_dimension": dim,
-                "centre_dimension": len(classes)}]
-    lines = [f"n={n} functions={len(lams)} span_dimension={dim} "
-             f"centre_dimension={len(classes)}"]
-    _emit(args, "experiment", config, results, True, lines)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -886,14 +781,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--nmax", type=int, default=4)
     pb.add_argument("--gmax", type=int, default=1)
     pb.set_defaults(func=cmd_table)
-
-    pe = sub.add_parser("experiment", parents=common() + [bounded],
-                        help="exploratory computations around the "
-                             "transitivity operator")
-    pe.add_argument("--name", required=True,
-                    choices=sorted(_EXPERIMENT_N_CAP))
-    pe.add_argument("--n", type=int, required=True)
-    pe.set_defaults(func=cmd_experiment)
 
     return parser
 

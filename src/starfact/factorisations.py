@@ -129,15 +129,18 @@ class StarFactorisation:
     def from_legs(cls, n: int, root: int, legs, target: Permutation) -> "StarFactorisation":
         """Build a record, deriving the genus from the leg count."""
         legs = tuple(legs)
-        # coverage is reported before the length condition, mirroring the
-        # constructor's order, so the genus derivation may not jump the queue
-        missing = set(range(1, n + 1)) - {root} - set(legs)
-        if missing and all(1 <= a <= n and a != root for a in legs):
-            t = Transposition(min(missing), root)
-            raise ConditionViolation("S2'", f"{t} never appears")
         c = target.cycle_count
-        return cls(n, root, legs, target,
-                   _genus("S1", "length", len(legs), n + c - 2, f"{n} + {c} - 2"))
+        try:
+            genus = _genus("S1", "length", len(legs), n + c - 2, f"{n} + {c} - 2")
+        except ConditionViolation:
+            # the constructor reports coverage before the length condition,
+            # so a length with no genus may not jump the queue
+            missing = set(range(1, n + 1)) - {root} - set(legs)
+            if missing and all(1 <= a <= n and a != root for a in legs):
+                t = Transposition(min(missing), root)
+                raise ConditionViolation("S2'", f"{t} never appears") from None
+            raise
+        return cls(n, root, legs, target, genus)
 
     @cached_property
     def factors(self) -> tuple[Transposition, ...]:

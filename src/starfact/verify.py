@@ -18,6 +18,7 @@ from typing import Callable
 
 from .algebra import (
     AlgebraElement,
+    SymExpr,
     class_sum,
     e,
     evaluate,
@@ -203,11 +204,25 @@ def suite_theorem_1_4(n: int = 5, gmax: int = 2) -> SuiteReport:
     return SuiteReport("theorem-1.4", tuple(checks))
 
 
+def power_sums_in_e(kmax: int) -> list[SymExpr]:
+    """p_1, ..., p_kmax written in the elementary basis by Newton's identity
+    p_k = sum over i < k of (-1)^(i-1) e_i p_(k-i), plus (-1)^(k-1) k e_k."""
+    sums: list[SymExpr] = []
+    for k in range(1, kmax + 1):
+        p_k = (-1) ** (k - 1) * k * e(k)
+        for i in range(1, k):
+            p_k = p_k + (-1) ** (i - 1) * e(i) * sums[k - i - 1]
+        sums.append(p_k)
+    return sums
+
+
 def suite_theorem_1_7(n: int = 5, wmax: int = 5) -> SuiteReport:
     """The transitive part of any elementary/homogeneous/power-sum value
-    at the slot elements is central."""
+    at the slot elements is central, and the same for a power sum written
+    in either basis."""
     checks = []
     bases = (("e", e), ("h", h), ("p", p))
+    via_e = power_sums_in_e(wmax)
     for nn in range(2, n + 1):
         for name, basis in bases:
             bad = []
@@ -225,6 +240,14 @@ def suite_theorem_1_7(n: int = 5, wmax: int = 5) -> SuiteReport:
                     f"{count} partitions of weight <= {wmax}",
                 )
             )
+        checks.append(
+            CheckResult(
+                f"transitive power sums agree with their e-basis forms, n={nn}",
+                all(transitive_evaluate(p(k), nn) == transitive_evaluate(p_k, nn)
+                    for k, p_k in enumerate(via_e, 1)),
+                f"k = 1..{wmax}",
+            )
+        )
     return SuiteReport("theorem-1.7", tuple(checks))
 
 

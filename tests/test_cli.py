@@ -345,11 +345,19 @@ class TestTrace:
         ("algebra", "--n", "3", "--expr", "e[1]"),
         ("verify", "--suite", "theorem-1.1", "--n", "2"),
         ("table", "--nmax", "1", "--gmax", "0"),
-        ("experiment", "--name", "t-basis-agreement", "--n", "2"),
     ], ids=lambda argv: argv[0])
     def test_bounded_commands_take_unsafe_bounds(self, capsys, argv):
         assert run(capsys, *argv, "--unsafe-bounds") == run(capsys, *argv)
         assert run(capsys, *argv)[0] == 0
+
+    def test_experiment_is_gone(self, capsys):
+        # its checks live in verify theorem-1.7 and demos/span_dimension.py
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["experiment", "--name", "span-dimension", "--n", "4"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument command: invalid choice: 'experiment'" in err
 
 
 class TestAlgebra:
@@ -499,6 +507,19 @@ class TestVerify:
         assert lines[-1] == "suite theorem-1.4: PASS (12/12 checks)"
         assert all(line.startswith("[PASS]") for line in lines[:-1])
 
+    def test_basis_agreement_check(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "theorem-1.7", "--n", "2", "--wmax", "2")
+        assert (code, out) == (0, (
+            "[PASS] transitive part of e-basis values is central, n=2  "
+            "(3 partitions of weight <= 2)\n"
+            "[PASS] transitive part of h-basis values is central, n=2  "
+            "(3 partitions of weight <= 2)\n"
+            "[PASS] transitive part of p-basis values is central, n=2  "
+            "(3 partitions of weight <= 2)\n"
+            "[PASS] transitive power sums agree with their e-basis forms, n=2  (k = 1..2)\n"
+            "suite theorem-1.7: PASS (4/4 checks)\n"
+        ))
+
     def test_corollary_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "corollary-1.6", "--n", "4", "--kmax", "2")
         assert code == 0
@@ -517,7 +538,8 @@ class TestVerify:
         ("theorem-1.1", "--n", "0", 1),
         ("theorem-1.4", "--gmax", "-1", 0),
         ("corollary-1.6", "--kmax", "-1", 0),
-        ("theorem-1.7", "--wmax", "-2", 0),
+        ("theorem-1.7", "--wmax", "-2", 1),
+        ("theorem-1.7", "--wmax", "0", 1),
     ])
     def test_empty_sweep_is_refused(self, capsys, suite, flag, value, least):
         # a sweep over nothing would print PASS (0/0 checks)
@@ -636,18 +658,30 @@ class TestTable:
         assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
-class TestExperiment:
-    def test_basis_agreement(self, capsys):
-        code, out, _ = run(capsys, "experiment", "--name", "t-basis-agreement", "--n", "3")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[-1].endswith("agree")
-        assert len(lines) == 4
-
-    def test_span_dimension(self, capsys):
-        code, out, _ = run(capsys, "experiment", "--name", "span-dimension", "--n", "4")
-        assert code == 0
-        assert out.splitlines()[-1] == "n=4 functions=41 span_dimension=5 centre_dimension=5"
+class TestBounds:
+    @pytest.mark.parametrize("argv, what, name, cap, value", [
+        (("count", "--family", "star", "--partition", "[7]", "--genus", "0"),
+         "DP counting", "n", 6, 7),
+        (("count", "--family", "star", "--partition", "[2,1]", "--genus", "9"),
+         "DP counting", "genus", 8, 9),
+        (("list", "--family", "star", "--target", "(1 2 3 4 5 6)", "--genus", "0"),
+         "listing", "n", 5, 6),
+        (("count", "--family", "star", "--partition", "[3]", "--genus", "3",
+          "--method", "listing"), "listing", "genus", 2, 3),
+        (("count", "--family", "dh", "--partition", "[8]", "--genus", "0"),
+         "double Hurwitz enumeration", "n", 7, 8),
+        (("count", "--family", "dh", "--partition", "[2,1]", "--genus", "2"),
+         "double Hurwitz enumeration", "genus", 1, 2),
+        (("algebra", "--n", "7", "--expr", "e[1]"), "group algebra", "n", 6, 7),
+        (("algebra", "--n", "6", "--expr", "T(p[2])"), "transitive evaluation", "n", 5, 6),
+        (("table", "--nmax", "6"), "agreement table", "nmax", 5, 6),
+        (("table", "--gmax", "3"), "agreement table", "gmax", 2, 3),
+    ], ids=["dp-n", "dp-genus", "listing-n", "listing-genus", "dh-n", "dh-genus",
+            "algebra-n", "transitive-n", "table-nmax", "table-gmax"])
+    def test_cap_refusal(self, capsys, argv, what, name, cap, value):
+        assert run(capsys, *argv) == (2, "", (
+            f"error: bound exceeded for {what}: {name} <= {cap} (got {name}={value}); "
+            "pass --unsafe-bounds to override\n"))
 
 
 class TestEnvironment:

@@ -646,6 +646,8 @@ RECORD_CHECKS = [
     ("star leg range before S2'", 'StarFactorisation(4, 4, (1, 1, 5), perm("(1 2)(3)(4)"), 0)', 'ValueError', 'legs must avoid the root and stay in [4]'),
     ("star leg at root before S2'", 'StarFactorisation(3, 3, (1, 1, 3), perm("(1 2)(3)"), 0)', 'ValueError', 'legs must avoid the root and stay in [3]'),
     ("star S2' before S1", 'StarFactorisation(3, 3, (1, 1, 1, 1, 1), perm("(1 2)(3)"), 0)', 'ConditionViolation', "condition S2' violated: (2 3) never appears"),
+    ('star from_legs root range', 'StarFactorisation.from_legs(3, 4, (1, 2, 1), perm("(1 2)(3)"))', 'ValueError', 'root 4 outside [3]'),
+    ("star from_legs S2' before S1", 'StarFactorisation.from_legs(3, 3, (1, 1, 1, 1), perm("(1 2)(3)"))', 'ConditionViolation', "condition S2' violated: (2 3) never appears"),
     ('star S1 before product', 'StarFactorisation(3, 3, (1, 2, 2, 1), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition S1 violated: length 4 != 3 + 2 - 2 + 2*0'),
     ('monotone symbol range before H2', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 3), T(1, 2), T(1, 4)), perm("(1 2)(3)"), 0)', 'ValueError', 'factor symbol outside [3]'),
     ('monotone H2 before H1', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 3), T(1, 2), T(1, 2)), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition H2 violated: larger symbols not weakly increasing under 1<2<3'),

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
+from starfact.algebra import p
 from starfact.verify import (
     CheckResult,
     SUITES,
     SuiteReport,
     order_panel,
+    power_sums_in_e,
     run_suite,
 )
 
@@ -27,6 +29,13 @@ class TestOrderPanel:
 
     def test_deterministic(self):
         assert order_panel(4) == order_panel(4)
+
+
+class TestNewtonIdentity:
+    def test_power_sums_in_e_expand_like_power_sums(self):
+        for k, via_e in enumerate(power_sums_in_e(8), 1):
+            for n in range(1, 7):
+                assert via_e.expand(n) == p(k).expand(n), (k, n)
 
 
 class TestReportShapes:
