@@ -3,7 +3,9 @@ transitivity operator on polynomials in them.
 
 The Jucys-Murphy element for slot k is the sum of the transpositions
 (1 k), (2 k), ..., (k-1 k).  Polynomials in the commuting family of all
-slots from 2 to n are handled symbolically by :class:`SymExpr`; expanding an
+slots from 2 to n are handled symbolically by :class:`SymExpr`, one class
+holding an expansion function: ``e``, ``h``, ``p``, ``jm_var`` and integers
+wrap small ones, and ``+``, ``-``, ``*`` and ``**`` compose them.  Expanding an
 expression produces monomials, each a tuple of exponents for slots 2..n,
 and every monomial has a canonical multiline form
 
@@ -31,7 +33,7 @@ This module is a route only; :mod:`starfact.verify` compares it with others.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import add, itemgetter
 
 from .factorisations import _coding, _join, _walk
@@ -48,6 +50,14 @@ class NotCentralError(ValueError):
         super().__init__(message)
 
 
+def _plus(lhs: dict, rhs: dict) -> dict:
+    """Sum of two sparse coefficient maps, without zero entries."""
+    out = dict(lhs)
+    for key, coeff in rhs.items():
+        out[key] = out.get(key, 0) + coeff
+    return {k: v for k, v in out.items() if v}
+
+
 class AlgebraElement:
     """An element of the integer group algebra of S_n, as a sparse
     permutation-to-coefficient map."""
@@ -56,11 +66,8 @@ class AlgebraElement:
 
     def __init__(self, n: int, terms: dict | None = None) -> None:
         self.n = n
-        self.terms: dict[tuple[int, ...], int] = {}
-        if terms:
-            for images, coeff in terms.items():
-                if coeff:
-                    self.terms[tuple(images)] = coeff
+        self.terms: dict[tuple[int, ...], int] = {
+            tuple(images): coeff for images, coeff in (terms or {}).items() if coeff}
 
     @classmethod
     def zero(cls, n: int) -> "AlgebraElement":
@@ -83,10 +90,9 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        out = dict(self.terms)
-        for images, coeff in other.terms.items():
-            out[images] = out.get(images, 0) + coeff
-        return AlgebraElement(self.n, out)
+        out = AlgebraElement(self.n)
+        out.terms = _plus(self.terms, other.terms)  # tuple keys, no zeros: no second pass
+        return out
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.n, {k: -v for k, v in self.terms.items()})
@@ -173,10 +179,7 @@ def jm_element(n: int, k: int) -> AlgebraElement:
     """The slot-k Jucys-Murphy element (1 k) + (2 k) + ... + (k-1 k)."""
     if not 1 <= k <= n:
         raise ValueError(f"slot {k} outside [{n}]")
-    terms = {}
-    for i in range(1, k):
-        terms[Permutation.transposition(n, i, k).images] = 1
-    return AlgebraElement(n, terms)
+    return AlgebraElement(n, {Permutation.transposition(n, i, k).images: 1 for i in range(1, k)})
 
 
 def class_sum(n: int, lam: Partition) -> AlgebraElement:
@@ -206,58 +209,64 @@ def format_class_decomposition(decomp: dict[Partition, int]) -> str:
 
 
 class SymExpr:
-    """Polynomial expression in the slot variables; ``expand(n)`` turns it
-    into a monomial-to-coefficient dict over exponent tuples for slots 2..n."""
+    """Polynomial in the slot variables, held as its expansion function:
+    ``expand(n)`` gives a monomial-to-coefficient dict over exponent tuples
+    for slots 2..n.  ``+``, ``-``, ``*`` and ``**`` build a new expression
+    whose function combines the operands' expansions.
 
-    def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        raise NotImplementedError
+    >>> (e(1) ** 2 - p(2)).expand(3)
+    {(1, 1): 2}
+    >>> (jm_var(3) ** 0).expand(2)
+    Traceback (most recent call last):
+    ...
+    ValueError: slot 3 absent for n=2
+    """
+
+    __slots__ = ("expand",)
+
+    def __init__(self, expand) -> None:
+        self.expand = expand
 
     def __add__(self, other):
-        return _Sum(self, _as_expr(other))
+        return _combine(_plus, self, _as_expr(other))
 
     def __radd__(self, other):
-        return _Sum(_as_expr(other), self)
+        return _combine(_plus, _as_expr(other), self)
 
     def __sub__(self, other):
-        return _Sum(self, _Prod(_Scalar(-1), _as_expr(other)))
+        return self + -1 * _as_expr(other)
 
     def __mul__(self, other):
-        return _Prod(self, _as_expr(other))
+        return _combine(_times, self, _as_expr(other))
 
     def __rmul__(self, other):
-        return _Prod(_as_expr(other), self)
+        return _combine(_times, _as_expr(other), self)
 
     def __pow__(self, k: int):
+        """The base is expanded once, even at k = 0, so a slot it cannot
+        have is refused at every exponent, then multiplied in k times."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return _Pow(self, k)
+
+        def expand(n: int) -> dict[tuple[int, ...], int]:
+            base, out = self.expand(n), {(0,) * (n - 1): 1}
+            for _ in range(k):
+                out = _times(out, base)
+            return out
+
+        return SymExpr(expand)
+
+
+def _combine(merge, left: SymExpr, right: SymExpr) -> SymExpr:
+    return SymExpr(lambda n: merge(left.expand(n), right.expand(n)))
 
 
 def _as_expr(x) -> SymExpr:
     if isinstance(x, SymExpr):
         return x
     if isinstance(x, int):
-        return _Scalar(x)
+        return SymExpr(lambda n: {(0,) * (n - 1): x} if x else {})
     raise TypeError(f"cannot treat {x!r} as an expression")
-
-
-class _Scalar(SymExpr):
-    def __init__(self, c: int) -> None:
-        self.c = c
-
-    def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        return {(0,) * (n - 1): self.c} if self.c else {}
-
-
-class _Sum(SymExpr):
-    def __init__(self, left: SymExpr, right: SymExpr) -> None:
-        self.left, self.right = left, right
-
-    def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        out = dict(self.left.expand(n))
-        for k, v in self.right.expand(n).items():
-            out[k] = out.get(k, 0) + v
-        return {k: v for k, v in out.items() if v}
 
 
 def _times(lhs: dict, rhs: dict) -> dict[tuple[int, ...], int]:
@@ -270,108 +279,52 @@ def _times(lhs: dict, rhs: dict) -> dict[tuple[int, ...], int]:
     return {k: v for k, v in out.items() if v}
 
 
-class _Prod(SymExpr):
-    def __init__(self, left: SymExpr, right: SymExpr) -> None:
-        self.left, self.right = left, right
-
-    def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        return _times(self.left.expand(n), self.right.expand(n))
-
-
-class _Pow(SymExpr):
-    """``base`` to the power k: the base is expanded once, even at k = 0, so
-    a slot it cannot have is refused at every exponent, and then multiplied
-    in k times by a loop."""
-
-    def __init__(self, base: SymExpr, k: int) -> None:
-        self.base, self.k = base, k
-
-    def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        base = self.base.expand(n)
-        out = _Scalar(1).expand(n)
-        for _ in range(self.k):
-            out = _times(out, base)
-        return out
+def _generator(choose, k: int, n: int) -> dict[tuple[int, ...], int]:
+    """One generator of degree k over slots 2..n: each choice that
+    ``choose(positions, k)`` yields adds one to the monomial of its counts."""
+    out: dict[tuple[int, ...], int] = {}
+    positions = range(n - 1)
+    for chosen in choose(positions, k):
+        key = tuple(map(chosen.count, positions))
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
-class _Gen(SymExpr):
-    def __init__(self, kind: str, k: int) -> None:
-        if k < 0:
-            raise ValueError("negative degree")
-        self.kind, self.k = kind, k
-
-    def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        slots = n - 1
-        k = self.k
-        if self.kind == "e":
-            if k > slots:
-                return {}
-            out = {}
-            for subset in combinations(range(slots), k):
-                exps = [0] * slots
-                for i in subset:
-                    exps[i] = 1
-                out[tuple(exps)] = 1
-            return out
-        if self.kind == "h":
-            out = {}
-            for multiset in combinations(range(slots + k - 1), k):
-                exps = [0] * slots
-                for pos, raw in enumerate(multiset):
-                    exps[raw - pos] += 1
-                out[tuple(exps)] = out.get(tuple(exps), 0) + 1
-            return out
-        if self.kind == "p":
-            if k == 0:
-                return {(0,) * slots: slots}
-            out = {}
-            for i in range(slots):
-                exps = [0] * slots
-                exps[i] = k
-                out[tuple(exps)] = 1
-            return out
-        raise AssertionError(self.kind)
-
-
-def _gen_product(kind: str, parts: tuple[int, ...]) -> SymExpr:
-    out: SymExpr = _Scalar(1)
+def _gen_product(choose, parts: tuple[int, ...]) -> SymExpr:
+    if any(k < 0 for k in parts):
+        raise ValueError("negative degree")
+    out = _as_expr(1)
     for k in parts:
-        out = _Prod(out, _Gen(kind, k))
+        out = out * SymExpr(partial(_generator, choose, k))
     return out
 
 
 def e(*parts: int) -> SymExpr:
     """Product of elementary symmetric polynomials, one per part."""
-    return _gen_product("e", parts)
+    return _gen_product(combinations, parts)
 
 
 def h(*parts: int) -> SymExpr:
     """Product of complete homogeneous symmetric polynomials."""
-    return _gen_product("h", parts)
+    return _gen_product(combinations_with_replacement, parts)
 
 
 def p(*parts: int) -> SymExpr:
-    """Product of power sums."""
-    return _gen_product("p", parts)
+    """Product of power sums; p_k takes one slot k times, so p_0 is n - 1."""
+    return _gen_product(lambda positions, k: ((i,) * k for i in positions), parts)
 
 
 def jm_var(k: int) -> SymExpr:
     """The single slot variable for position k (k >= 2)."""
     if k < 2:
         raise ValueError("slots start at 2")
-    return _SlotVar(k)
 
+    def expand(n: int) -> dict[tuple[int, ...], int]:
+        if k > n:
+            raise ValueError(f"slot {k} absent for n={n}")
+        return {tuple(int(j == k) for j in range(2, n + 1)): 1}
 
-class _SlotVar(SymExpr):
-    def __init__(self, k: int) -> None:
-        self.k = k
-
-    def expand(self, n: int) -> dict[tuple[int, ...], int]:
-        if self.k > n:
-            raise ValueError(f"slot {self.k} absent for n={n}")
-        exps = [0] * (n - 1)
-        exps[self.k - 2] = 1
-        return {tuple(exps): 1}
+    return SymExpr(expand)
 
 
 # ---------------------------------------------------------------------------

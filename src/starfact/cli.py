@@ -63,7 +63,7 @@ from .perms import (
     class_representative,
     partitions_of,
 )
-from .verify import SUITES, agreement_row, run_suite
+from .verify import BOUND_FLOORS, SUITES, agreement_row, run_suite
 
 
 class UsageError(Exception):
@@ -140,7 +140,7 @@ def _check_bound(args, what: str, caps: dict | None = None, **values: int) -> No
     given, above its cap in ``caps`` (by default ``_CAPS[what]``)."""
     caps = _CAPS[what] if caps is None else caps
     for name, value in values.items():
-        least = 1 if name in ("n", "nmax", "wmax") else 0
+        least = BOUND_FLOORS.get(name, 0)
         if value < least:
             raise UsageError(f"--{name} must be at least {least} (got {value})")
         cap = caps.get(name)
@@ -294,10 +294,6 @@ def _value(node, n: int, inside_t: bool = False) -> SymExpr | AlgebraElement:
     raise AssertionError(kind)
 
 
-def parse_expression(text: str):
-    return _ExprParser(text).parse()
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -386,10 +382,14 @@ def _count_one(args, method: str, target: Permutation, lam: Partition | None,
 def cmd_count(args) -> int:
     target, lam, genus = _resolve_input(args)
     if args.family == "dh":
+        # dh has one route, the layered walk of ``count_double_hurwitz``
+        missing = {"listing": "listing", "formula": "closed form"}.get(args.method)
+        if missing:
+            raise UsageError(f"no {missing} for family dh")
         beta = lam if lam is not None else target.cycle_type()
         _check_bound(args, "double Hurwitz enumeration", n=beta.n, genus=genus)
         config = {"family": "dh", "partition": str(beta), "genus": genus}
-        results = [{"method": "listing", "count": b_number(beta.n, beta, genus)}]
+        results = [{"method": "dp", "count": b_number(beta.n, beta, genus)}]
     else:
         config = {"family": args.family}
         if lam is not None:
@@ -447,6 +447,8 @@ def _star_input(args) -> StarFactorisation:
     if args.target:
         target = _parse_permutation(args.target, n)
     else:
+        if not 1 <= root <= n:
+            raise UsageError(f"root {root} outside [{n}]")
         target = Permutation.identity(n)
         for a in legs:
             if not 1 <= a <= n or a == root:
@@ -575,20 +577,11 @@ def cmd_trace(args) -> int:
 # algebra
 
 
-def _contains_t(node) -> bool:
-    if node[0] == "T":
-        return True
-    if node[0] in _BINARY:
-        return _contains_t(node[1]) or _contains_t(node[2])
-    if node[0] == "^":
-        return _contains_t(node[1])
-    return False
-
-
 def cmd_algebra(args) -> int:
     n = args.n
-    node = parse_expression(args.expr)
-    _check_bound(args, "transitive evaluation" if _contains_t(node) else "group algebra", n=n)
+    node = _ExprParser(args.expr).parse()
+    # the tokenizer admits T only as the head of a T(...) atom
+    _check_bound(args, "transitive evaluation" if "T" in args.expr else "group algebra", n=n)
     element = _value(node, n)
     config = {"n": n, "expr": args.expr}
     try:
@@ -637,9 +630,6 @@ def cmd_verify(args) -> int:
         overrides[name] = value
     report = run_suite(args.suite, **overrides)
     config = {"suite": args.suite, **spec.defaults, **overrides}
-    if not report.checks:
-        bounds = ", ".join(f"{name}={value}" for name, value in config.items() if name != "suite")
-        raise UsageError(f"suite {args.suite} has no checks at {bounds}")
     results = [
         {"label": c.label, "passed": c.passed, "detail": c.detail}
         for c in report.checks
@@ -806,6 +796,11 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # a parse tree, expression or listing deeper than the Python stack
+        print(f"error: input nests past the recursion limit ({sys.getrecursionlimit()})",
+              file=sys.stderr)
         return 2
 
 

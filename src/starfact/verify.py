@@ -618,8 +618,13 @@ SUITES: dict[str, SuiteSpec] = {
 }
 
 
+# the least value of a bound that leaves a sweep nonempty; every other starts at 0
+BOUND_FLOORS = {"n": 1, "nmax": 1, "wmax": 1}
+
+
 def run_suite(name: str, **overrides) -> SuiteReport:
-    """Run a named suite with parameter overrides (unknown names rejected)."""
+    """Run a named suite with parameter overrides (unknown names, bounds
+    below their floors and bounds that leave no checks are rejected)."""
     if name not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise KeyError(f"unknown suite {name!r}; available: {known}")
@@ -630,5 +635,12 @@ def run_suite(name: str, **overrides) -> SuiteReport:
             continue
         if key not in spec.defaults:
             raise ValueError(f"suite {name} takes no parameter {key!r}")
+        least = BOUND_FLOORS.get(key, 0)
+        if value < least:
+            raise ValueError(f"{key} must be at least {least} (got {value})")
         params[key] = value
-    return spec.runner(**params)
+    report = spec.runner(**params)
+    if not report.checks:
+        bounds = ", ".join(f"{key}={value}" for key, value in params.items())
+        raise ValueError(f"suite {name} has no checks at {bounds}")
+    return report

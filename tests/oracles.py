@@ -8,7 +8,7 @@ bijections have something dumb and trustworthy to disagree with.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from starfact import Partition, Permutation, TotalOrder, Transposition
 
@@ -121,6 +121,27 @@ def jm_power_table(n: int, k: int, length: int) -> dict[Permutation, int]:
     for word in product(choices, repeat=length):
         prod = compose_all(n, word)
         table[prod] = table.get(prod, 0) + 1
+    return table
+
+
+def slot_expansion(kind: str, parts: tuple[int, ...], n: int) -> dict[tuple[int, ...], int]:
+    """Expansion over slots 2..n of the product of e_k, h_k or p_k over the
+    parts: each factor picks a k-subset, a k-multiset or one slot k times,
+    and every pick of one choice per factor adds its exponents to one
+    monomial (p_0 picks each of the n - 1 slots zero times)."""
+    slots = range(n - 1)
+    choices = {
+        "e": lambda k: list(combinations(slots, k)),
+        "h": lambda k: list(combinations_with_replacement(slots, k)),
+        "p": lambda k: [(i,) * k for i in slots],
+    }[kind]
+    table: dict[tuple[int, ...], int] = {}
+    for picks in product(*(choices(k) for k in parts)):
+        exps = [0] * (n - 1)
+        for pick in picks:
+            for i in pick:
+                exps[i] += 1
+        table[tuple(exps)] = table.get(tuple(exps), 0) + 1
     return table
 
 

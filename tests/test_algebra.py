@@ -46,7 +46,7 @@ from starfact.factorisations import (
 from starfact.perms import class_representative, symmetric_group
 from starfact.verify import run_suite
 
-from oracles import jm_power_table, transitive_monomial
+from oracles import jm_power_table, slot_expansion, transitive_monomial
 
 
 def perm(text, n=None):
@@ -187,6 +187,32 @@ class TestFourthPowerTable:
             format_class_decomposition(p4.decompose())
             == "22*K[1,1,1,1] + 8*K[3,1] + 4*K[2,2]"
         )
+
+
+class TestExpansion:
+    """Generator expansions against the ``itertools`` oracle."""
+
+    @pytest.mark.parametrize("basis", [e, h, p], ids=["e", "h", "p"])
+    def test_single_generators(self, basis):
+        for n in range(1, 7):
+            for k in range(7):
+                assert basis(k).expand(n) == slot_expansion(basis.__name__, (k,), n), (n, k)
+
+    @pytest.mark.parametrize("basis, parts", [(e, (2, 1)), (h, (1, 1)), (p, (2, 1))],
+                             ids=["e21", "h11", "p21"])
+    def test_products(self, basis, parts):
+        for n in range(1, 7):
+            assert basis(*parts).expand(n) == slot_expansion(basis.__name__, parts, n), n
+
+    def test_edge_cases(self):
+        for n in range(2, 7):
+            zero = (0,) * (n - 1)
+            assert p(0).expand(n) == {zero: n - 1}
+            assert h(0).expand(n) == e().expand(n) == {zero: 1}
+        # S_1 has no slots: only the constants survive
+        assert p(0).expand(1) == {} == e(1).expand(1) == p(2).expand(1)
+        assert h(0).expand(1) == e(0).expand(1) == {(): 1}
+        assert h(3).expand(1) == {}
 
 
 class TestSymbolicEvaluation:

@@ -83,7 +83,7 @@ class TestCount:
             capsys, "count", "--family", "dh", "--partition", "[2,1]", "--genus", "0"
         )
         assert code == 0
-        assert out == "family=dh partition=[2,1] genus=0\nmethod=listing count=2\n"
+        assert out == "family=dh partition=[2,1] genus=0\nmethod=dp count=2\n"
 
     def test_json_schema(self, capsys):
         code, out, _ = run(
@@ -180,13 +180,13 @@ class TestCount:
         code, out, err = run(capsys, command, *argv, "--genus", "0")
         assert (code, out, err) == (2, "", f"error: {error}\n")
 
-    def test_dh_disregards_method(self, capsys):
-        code, out, _ = run(
-            capsys, "count", "--family", "dh", "--partition", "[2,1]", "--genus", "0",
-            "--method", "dp",
-        )
-        assert code == 0
-        assert out == "family=dh partition=[2,1] genus=0\nmethod=listing count=2\n"
+    def test_dh_counts_by_dp_only(self, capsys):
+        # the double Hurwitz count has one route, the layered walk
+        argv = ("count", "--family", "dh", "--partition", "[2,1]", "--genus", "0", "--method")
+        assert run(capsys, *argv, "dp") == (
+            0, "family=dh partition=[2,1] genus=0\nmethod=dp count=2\n", "")
+        assert run(capsys, *argv, "listing") == (2, "", "error: no listing for family dh\n")
+        assert run(capsys, *argv, "formula") == (2, "", "error: no closed form for family dh\n")
 
 
 class TestList:
@@ -255,6 +255,15 @@ class TestTrace:
         assert code == 2
         assert out == ""
         assert err == "condition S2' violated: (2 3) never appears\n"
+
+    @pytest.mark.parametrize("target", [(), ("--target", "(1 2)(3)")],
+                             ids=["from-legs", "stated-target"])
+    def test_root_beyond_degree_is_refused(self, capsys, target):
+        code, out, err = run(
+            capsys, "trace", "--map", "gamma", "--n", "3", "--root", "4", "--legs", "1,2,1",
+            *target,
+        )
+        assert (code, out, err) == (2, "", "error: root 4 outside [3]\n")
 
     def test_tail_with_no_genus_is_reported(self, capsys):
         code, out, err = run(
@@ -698,6 +707,17 @@ class TestEnvironment:
         first = run(capsys, "verify", "--suite", "theorem-1.1", "--n", "4")
         second = run(capsys, "verify", "--suite", "theorem-1.1", "--n", "4")
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ("algebra", "--n", "3", "--expr", "(" * 3000 + "1" + ")" * 3000),
+        ("algebra", "--n", "3", "--expr", "+".join(["1"] * 3000)),
+        ("algebra", "--n", "3", "--expr", "T(" + "+".join(["J[2]"] * 3000) + ")"),
+        ("list", "--family", "star", "--target", "(1 2)", "--genus", "600", "--unsafe-bounds"),
+    ], ids=["nested-parentheses", "long-sum", "long-transitive-sum", "deep-listing"])
+    def test_over_deep_input_exits_two(self, capsys, argv):
+        # parse trees, expressions and listing searches recurse once per level
+        assert run(capsys, *argv) == (2, "", (
+            f"error: input nests past the recursion limit ({sys.getrecursionlimit()})\n"))
 
 
 def test_installed_entry_point():

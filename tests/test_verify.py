@@ -75,6 +75,31 @@ class TestRegistry:
         with pytest.raises(ValueError, match="takes no parameter 'kmax'"):
             run_suite("theorem-1.4", kmax=2)
 
+    @pytest.mark.parametrize("suite, name, value, least", [
+        ("theorem-1.1", "n", 0, 1),
+        ("theorem-1.4", "gmax", -1, 0),
+        ("corollary-1.6", "kmax", -1, 0),
+        ("theorem-1.7", "wmax", 0, 1),
+    ])
+    def test_bounds_below_their_floors(self, suite, name, value, least):
+        # each would sweep nothing and report PASS over no cases
+        with pytest.raises(ValueError, match=rf"^{name} must be at least {least} \(got {value}\)$"):
+            run_suite(suite, **{name: value})
+
+    def test_floors_themselves_run(self):
+        assert run_suite("theorem-1.4", n=1, gmax=0).passed
+        assert run_suite("corollary-1.6", n=2, kmax=0).passed
+        assert run_suite("theorem-1.7", n=2, wmax=1).passed
+
+    @pytest.mark.parametrize("suite, bounds", [
+        ("relation-6.4", "n=1"),
+        ("theorem-1.7", "n=1, wmax=5"),
+        ("bijections", "n=1, gmax=1"),
+    ])
+    def test_suite_with_no_checks(self, suite, bounds):
+        with pytest.raises(ValueError, match=rf"^suite {suite} has no checks at {bounds}$"):
+            run_suite(suite, n=1)
+
     def test_none_overrides_fall_back_to_defaults(self):
         report = run_suite("recurrence-6.3", n=None, gmax=1)
         assert report.passed
