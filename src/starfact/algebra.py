@@ -22,9 +22,11 @@ for the left term, so the composition runs at C level.  The slots commute,
 so ``evaluate`` may regroup the expansion: it sums slot 2 against one table
 of its powers and folds each later slot in by Horner's rule, with no memo.
 Transitive values of a monomial come from the layered walk of
-``factorisations`` over (prefix product, connectivity blocks), kept by one
-memo, ``_transitive_monomial``, of at most ``_MONOMIAL_CACHE_SIZE``
-monomials.  The moves out of a state depend only on its block labels and
+``factorisations`` over (prefix product, connectivity blocks), pruned to the
+states whose blocks the factors left can still join into one.  One memo,
+``_transitive_monomial``, keeps the (rank, count) pairs of at most
+``_MONOMIAL_CACHE_SIZE`` monomials, and ``transitive_evaluate`` sums them by
+rank over S_n.  The moves out of a state depend only on its block labels and
 the slot in play, so every walk reads them from one shared memo,
 ``_transitive_move_list``, of at most ``_MOVE_LIST_CACHE_SIZE`` lists.
 This module is a route only; :mod:`starfact.verify` compares it with others.
@@ -32,8 +34,8 @@ This module is a route only; :mod:`starfact.verify` compares it with others.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from itertools import combinations, combinations_with_replacement
+from functools import lru_cache, partial, reduce
+from itertools import combinations, combinations_with_replacement, compress
 from operator import add, itemgetter
 
 from .factorisations import _coding, _join, _walk
@@ -228,19 +230,19 @@ class SymExpr:
         self.expand = expand
 
     def __add__(self, other):
-        return _combine(_plus, self, _as_expr(other))
+        return sum_of((self, other))
 
     def __radd__(self, other):
-        return _combine(_plus, _as_expr(other), self)
+        return sum_of((other, self))
 
     def __sub__(self, other):
         return self + -1 * _as_expr(other)
 
     def __mul__(self, other):
-        return _combine(_times, self, _as_expr(other))
+        return product_of((self, other))
 
     def __rmul__(self, other):
-        return _combine(_times, _as_expr(other), self)
+        return product_of((other, self))
 
     def __pow__(self, k: int):
         """The base is expanded once, even at k = 0, so a slot it cannot
@@ -257,8 +259,20 @@ class SymExpr:
         return SymExpr(expand)
 
 
-def _combine(merge, left: SymExpr, right: SymExpr) -> SymExpr:
-    return SymExpr(lambda n: merge(left.expand(n), right.expand(n)))
+def _combine(merge, *operands: SymExpr) -> SymExpr:
+    """The expression whose expansion merges the operands' expansions left
+    to right in one loop, so it never recurses once per operand."""
+    return SymExpr(lambda n: reduce(merge, (x.expand(n) for x in operands)))
+
+
+def sum_of(terms) -> SymExpr:
+    """``terms[0] + terms[1] + ...`` as one flat expression."""
+    return _combine(_plus, *map(_as_expr, terms))
+
+
+def product_of(factors) -> SymExpr:
+    """``factors[0] * factors[1] * ...`` as one flat expression."""
+    return _combine(_times, *map(_as_expr, factors))
 
 
 def _as_expr(x) -> SymExpr:
@@ -380,11 +394,22 @@ def _transitive_move_list(blocks: tuple[int, ...], j: int) -> tuple[tuple[int, .
 def _transitive_moves(slots: tuple[int, ...], aux):
     """Moves (i j) of a transitive walk, j the slot at the aux's position.
     The aux is (slot position, block labels), where block labels give each
-    symbol the least (0-based) symbol joined to it by the factors so far."""
+    symbol the least (0-based) symbol joined to it by the factors so far.
+
+    A factor joins at most two blocks, so a state with b blocks and r
+    factors left can reach the single block read at the end only while
+    b - 1 <= r.  Only the moves that keep this bound are offered: every move
+    while it holds with room to spare, only the joining moves when it holds
+    with none, so the walk keeps exactly the states that can still connect."""
     pos, blocks = aux
     j, nxt = slots[pos], pos + 1
+    # factors left after this move, less the b - 1 joins still owed before it
+    slack = len(slots) - nxt - len(set(blocks)) + 1
+    if slack < -1:
+        return []
     return [((i, j), (nxt, joined))
-            for i, joined in enumerate(_transitive_move_list(blocks, j), 1)]
+            for i, joined in enumerate(_transitive_move_list(blocks, j), 1)
+            if slack >= 0 or blocks[i - 1] != blocks[j - 1]]
 
 
 # Monomial values kept by ``_transitive_monomial``; the largest uses need
@@ -394,27 +419,32 @@ _MONOMIAL_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
-def _transitive_monomial(n: int, exps: tuple[int, ...]) -> dict:
-    """Transitive part of a canonical monomial: the layered walk over
-    (prefix product, connectivity partition of {1..n}), slots ascending,
-    factors per slot chosen left to right, read where one block is left."""
+def _transitive_monomial(n: int, exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Transitive part of a canonical monomial, as (rank in S_n, count)
+    pairs: the layered walk over (prefix product, connectivity partition of
+    {1..n}), slots ascending, factors per slot chosen left to right, pruned
+    to the states that can still connect (``_transitive_moves``) and read
+    where one block is left."""
     slots = tuple(j for j, mult in enumerate(exps, 2) for _ in range(mult))
     layer = _walk(n, ("transitive", slots), partial(_transitive_moves, slots), len(slots),
                   start_aux=(0, tuple(range(n))), keep=False)
-    perms = _coding(n)[0]
-    return {tuple(perms[r]): c for r, c in layer.get((len(slots), (0,) * n), {}).items()}
+    return tuple(layer.get((len(slots), (0,) * n), {}).items())
 
 
 def transitive_evaluate(expr: SymExpr, n: int) -> AlgebraElement:
     """Apply the transitivity operator to the canonical expansion of ``expr``
     and evaluate.  Linear over monomials; NOT multiplicative across them, so
-    the result depends on the expression only through its expansion.
+    the result depends on the expression only through its expansion.  The
+    monomials' counts are summed by rank into one list over S_n, and each
+    rank is turned into its images once.
     """
-    total: dict[tuple[int, ...], int] = {}
+    perms = _coding(n)[0]
+    total = [0] * len(perms)
     for exps, coeff in expr.expand(n).items():
-        for images, cnt in _transitive_monomial(n, exps).items():
-            total[images] = total.get(images, 0) + coeff * cnt
-    return AlgebraElement(n, total)
+        for rank, cnt in _transitive_monomial(n, exps):
+            total[rank] += coeff * cnt
+    # the nonzero counts and their permutations, paired in rank order at C level
+    return AlgebraElement(n, dict(zip(compress(perms, total), filter(None, total))))
 
 
 def transitive_power(n: int, t: int) -> AlgebraElement:

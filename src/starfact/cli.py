@@ -14,6 +14,7 @@ import operator
 import os
 import re
 import sys
+from functools import reduce
 
 from .algebra import (
     AlgebraElement,
@@ -27,6 +28,8 @@ from .algebra import (
     jm_var,
     ordered_decomposition,
     p,
+    product_of,
+    sum_of,
     transitive_evaluate,
 )
 from .bijections import (
@@ -183,7 +186,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 class _ExprParser:
     """Recursive descent over  expr := term (('+'|'-') term)*,
     term := power ('*' power)*,  power := atom ('^' INT)*,
-    atom := INT | J[k] | e[parts] | h[parts] | p[parts] | T(expr) | (expr)."""
+    atom := INT | J[k] | e[parts] | h[parts] | p[parts] | T(expr) | (expr).
+    Sums and products stay flat, as ("+", terms) and ("*", factors), with
+    a subtracted term held as ("neg", term), so no chain nests the tree."""
 
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
@@ -210,18 +215,19 @@ class _ExprParser:
         return node
 
     def expr(self):
-        node = self.term()
+        terms = [self.term()]
         while self.peek()[1] in ("+", "-"):
             _, op, _ = self.take()
-            node = (op, node, self.term())
-        return node
+            term = self.term()
+            terms.append(term if op == "+" else ("neg", term))
+        return terms[0] if len(terms) == 1 else ("+", terms)
 
     def term(self):
-        node = self.power()
+        factors = [self.power()]
         while self.peek()[1] == "*":
             self.take()
-            node = ("*", node, self.power())
-        return node
+            factors.append(self.power())
+        return factors[0] if len(factors) == 1 else ("*", factors)
 
     def power(self):
         node = self.atom()
@@ -268,7 +274,8 @@ class _ExprParser:
         return int(value)
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# a flat sum or product node -> (its fold inside T(...), its binary operator outside)
+_FOLDS = {"+": (sum_of, operator.add), "*": (product_of, operator.mul)}
 
 
 def _value(node, n: int, inside_t: bool = False) -> SymExpr | AlgebraElement:
@@ -283,8 +290,13 @@ def _value(node, n: int, inside_t: bool = False) -> SymExpr | AlgebraElement:
     if kind == "gen":
         poly = {"e": e, "h": h, "p": p}[node[1]](*node[2])
         return poly if inside_t else evaluate(poly, n)
-    if kind in _BINARY:
-        return _BINARY[kind](_value(node[1], n, inside_t), _value(node[2], n, inside_t))
+    if kind == "neg":
+        return -1 * _value(node[1], n, inside_t)
+    if kind in _FOLDS:
+        # folded in a loop, however many operands, as the parser keeps them flat
+        values = [_value(x, n, inside_t) for x in node[1]]
+        flat, binary = _FOLDS[kind]
+        return flat(values) if inside_t else reduce(binary, values)
     if kind == "^":
         return _value(node[1], n, inside_t) ** node[2]
     if kind == "T":
@@ -354,7 +366,7 @@ def _family_extra(args, n: int) -> tuple[dict, tuple]:
     if args.family == "star":
         root = args.root if args.root is not None else n
         if not 1 <= root <= n:
-            raise UsageError(f"root {root} outside [1, {n}]")
+            raise UsageError(f"root {root} outside [{n}]")
         return {"root": root}, (root,)
     if args.family == "monotone" and args.order:
         order = _parse_order(args.order, n)

@@ -337,7 +337,9 @@ def _walk(n: int, key: tuple, moves, steps: int, start=0, start_aux=0, keep=True
     monotone walk over the full-cycle class); the double Hurwitz counter,
     from a class representative with its cycles as blocks; and
     ``algebra._transitive_monomial``, from the identity with aux (0,
-    singleton blocks), keeping nothing, as it memoises the one layer it reads.
+    singleton blocks), whose moves reach only states that can still end in
+    one block; it keeps nothing, as it memoises the (rank, count) pairs it
+    reads from the last layer.
     """
     entry = _WALKS.pop((n, key), None)
     if entry is None:

@@ -21,6 +21,7 @@ from starfact.algebra import (
     NotCentralError,
     _transitive_monomial,
     _transitive_move_list,
+    _transitive_moves,
     class_sum,
     e,
     evaluate,
@@ -46,7 +47,7 @@ from starfact.factorisations import (
 from starfact.perms import class_representative, symmetric_group
 from starfact.verify import run_suite
 
-from oracles import jm_power_table, slot_expansion, transitive_monomial
+from oracles import jm_power_table, set_partitions, slot_expansion, transitive_monomial
 
 
 def perm(text, n=None):
@@ -462,3 +463,81 @@ class TestTopPowerClosedForm:
         assert transitive_power(3, 2) == jm_element(3, 2) * jm_element(3, 3)
         assert transitive_power(3, 2) == evaluate(e(2), 3)
         assert transitive_power(2, 1) == AlgebraElement.from_permutation(perm("(1 2)"))
+
+
+class TestPrunedTransitiveWalk:
+    """The transitive walk offers only moves after which the blocks can
+    still be joined into one; its values against the brute-force oracle."""
+
+    @staticmethod
+    def oracle(n, expansion, memo):
+        """The transitive value of an expansion, summed over the oracle's
+        spanning words monomial by monomial."""
+        total = {}
+        for exps, coeff in expansion.items():
+            if (n, exps) not in memo:
+                memo[n, exps] = transitive_monomial(n, exps)
+            for w, cnt in memo[n, exps].items():
+                total[w.images] = total.get(w.images, 0) + coeff * cnt
+        return AlgebraElement(n, total)
+
+    def test_mixed_expressions_match_the_oracle(self):
+        memo = {}
+        for n in range(1, 6):
+            # e_2 e_1 + 3 h_3 - p_2: mixed integer coefficients across monomials
+            mixed = {}
+            for kind, parts, coeff in (("e", (2, 1), 1), ("h", (3,), 3), ("p", (2,), -1)):
+                for exps, c in slot_expansion(kind, parts, n).items():
+                    mixed[exps] = mixed.get(exps, 0) + coeff * c
+            got = transitive_evaluate(e(2, 1) + 3 * h(3) - p(2), n)
+            assert got == self.oracle(n, mixed, memo), n
+            for weight in range(n + 2):
+                for lam in partitions_of(weight):
+                    for basis in (e, h, p):
+                        expansion = slot_expansion(basis.__name__, lam.parts, n)
+                        assert transitive_evaluate(basis(*lam.parts), n) == self.oracle(
+                            n, expansion, memo), (n, basis.__name__, lam)
+
+    def test_short_and_slot_free_monomials(self):
+        memo, trees = {}, 0
+        for n, exps in monomials(5, 5):
+            expr = 2 * e()
+            for j, a in enumerate(exps, 2):
+                expr = expr * jm_var(j) ** a
+            got = transitive_evaluate(expr, n)
+            assert got == self.oracle(n, {exps: 2}, memo), (n, exps)
+            if n == 1:
+                continue
+            if sum(exps) < n - 1 or exps[-1] == 0:
+                # too few factors to join n blocks, or symbol n never moved
+                assert got == AlgebraElement.zero(n), (n, exps)
+            elif sum(exps) == n - 1:
+                # spanning words are then trees, whose products are full cycles
+                assert all(Permutation(w).cycle_count == 1 for w in got.terms), (n, exps)
+                trees += bool(got.terms)
+        # a tree needs at least n - k + 1 edges with larger end in k..n, for
+        # every k, so the nonzero monomials number C_(n-1): 1 + 2 + 5 + 14
+        assert trees == 22
+
+    def test_moves_keep_the_connect_bound(self):
+        # every labelling of every set partition, at every position of slot
+        # sequences shorter than, equal to and longer than n - 1
+        for n in range(2, 7):
+            labellings = [
+                tuple(min(b for b in blocks if s in b) for s in range(n))
+                for blocks in set_partitions(tuple(range(n)))
+            ]
+            for slots in ((n,) * (n - 2), tuple(range(2, n + 1)),
+                          tuple(range(2, n + 1)) + (n, n)):
+                for pos, j in enumerate(slots):
+                    left = len(slots) - pos - 1
+                    for blocks in labellings:
+                        count = len(set(blocks))
+                        offered = dict(_transitive_moves(slots, (pos, blocks)))
+                        for i in range(1, j):
+                            joins = blocks[i - 1] != blocks[j - 1]
+                            can_connect = count - joins - 1 <= left
+                            assert ((i, j) in offered) == can_connect, (slots, pos, blocks, i)
+                            if can_connect:
+                                nxt, joined = offered[i, j]
+                                assert nxt == pos + 1 and len(set(joined)) == count - joins

@@ -188,6 +188,11 @@ class TestCount:
         assert run(capsys, *argv, "listing") == (2, "", "error: no listing for family dh\n")
         assert run(capsys, *argv, "formula") == (2, "", "error: no closed form for family dh\n")
 
+    def test_root_beyond_degree_is_refused(self, capsys):
+        # worded as trace and StarFactorisation word it
+        assert run(capsys, "count", "--family", "star", "--target", "(1 2)(3)", "--root", "4",
+                   "--genus", "0") == (2, "", "error: root 4 outside [3]\n")
+
 
 class TestList:
     def test_star_listing(self, capsys):
@@ -710,14 +715,30 @@ class TestEnvironment:
 
     @pytest.mark.parametrize("argv", [
         ("algebra", "--n", "3", "--expr", "(" * 3000 + "1" + ")" * 3000),
-        ("algebra", "--n", "3", "--expr", "+".join(["1"] * 3000)),
-        ("algebra", "--n", "3", "--expr", "T(" + "+".join(["J[2]"] * 3000) + ")"),
         ("list", "--family", "star", "--target", "(1 2)", "--genus", "600", "--unsafe-bounds"),
-    ], ids=["nested-parentheses", "long-sum", "long-transitive-sum", "deep-listing"])
+    ], ids=["nested-parentheses", "deep-listing"])
     def test_over_deep_input_exits_two(self, capsys, argv):
-        # parse trees, expressions and listing searches recurse once per level
+        # parse trees and listing searches recurse once per level
         assert run(capsys, *argv) == (2, "", (
             f"error: input nests past the recursion limit ({sys.getrecursionlimit()})\n"))
+
+    @pytest.mark.parametrize("expr, short, rendered", [
+        ("+".join(["1"] * 3000), "3000", "3000*K[1,1,1]"),
+        ("T(" + "+".join(["J[2]"] * 3000) + ")", "T(3000*J[2])", "0"),
+        ("T(" + "+".join(["J[3]^2"] * 3000) + ")", "T(3000*J[3]^2)", "3000*K[3]"),
+        ("T(" + "-".join(["J[3]^2"] * 3000) + ")", "T(0-2998*J[3]^2)", "-2998*K[3]"),
+        ("*".join(["J[2]"] * 3000), "J[2]^3000", "1*K[1,1,1]"),
+        ("T(" + "*".join(["J[3]"] * 3000) + ")", "T(J[3]^3000)", None),
+    ], ids=["long-sum", "long-transitive-sum", "long-transitive-square-sum",
+            "long-transitive-difference", "long-product", "long-transitive-product"])
+    def test_long_flat_input_is_evaluated(self, capsys, expr, short, rendered):
+        # flat sums and products are folded in a loop, in and out of T(...),
+        # however many operands they have
+        code, out, err = run(capsys, "algebra", "--n", "3", "--expr", expr)
+        assert (code, err) == (0, "")
+        assert run(capsys, "algebra", "--n", "3", "--expr", short) == (0, out, "")
+        if rendered is not None:
+            assert out == rendered + "\n"
 
 
 def test_installed_entry_point():
