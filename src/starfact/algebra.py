@@ -148,6 +148,8 @@ class AlgebraElement:
 
     def central_witness(self) -> tuple[Permutation, Permutation] | None:
         """Two same-type permutations with different coefficients, or None."""
+        if not self.terms:  # zero is central; no class need be read
+            return None
         for members in conjugacy_classes(self.n).values():
             first = members[0]
             c0 = self.coefficient(first)

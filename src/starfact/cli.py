@@ -77,25 +77,23 @@ class UsageError(Exception):
 # input parsing helpers
 
 
-def _parse_permutation(text: str, n: int | None) -> Permutation:
+def _parsed(kind: str, parse, text: str, *args):
     try:
-        return Permutation.parse(text, n)
+        return parse(text, *args)
     except ValueError as exc:
-        raise UsageError(f"bad permutation {text!r}: {exc}") from None
+        raise UsageError(f"bad {kind} {text!r}: {exc}") from None
+
+
+def _parse_permutation(text: str, n: int | None) -> Permutation:
+    return _parsed("permutation", Permutation.parse, text, n)
 
 
 def _parse_partition(text: str) -> Partition:
-    try:
-        return Partition.parse(text)
-    except ValueError as exc:
-        raise UsageError(f"bad partition {text!r}: {exc}") from None
+    return _parsed("partition", Partition.parse, text)
 
 
 def _parse_order(text: str, n: int) -> TotalOrder:
-    try:
-        order = TotalOrder.parse(text)
-    except ValueError as exc:
-        raise UsageError(f"bad order {text!r}: {exc}") from None
+    order = _parsed("order", TotalOrder.parse, text)
     if len(order.sequence) != n:
         raise UsageError(f"order {text!r} has {len(order.sequence)} symbols, expected {n}")
     return order
@@ -130,6 +128,8 @@ def _parse_factors(text: str) -> tuple[Transposition, ...]:
 _CAPS = {
     "DP counting": {"n": 6, "genus": 8},
     "listing": {"n": 5, "genus": 2},
+    # the star series formula slows steeply with the genus: 13 s at 400 on a 2-core x86-64
+    "formula route": {"genus": 400},
     "double Hurwitz enumeration": {"n": 7, "genus": 1},
     "group algebra": {"n": 6},
     "transitive evaluation": {"n": 5},
@@ -154,13 +154,24 @@ def _check_bound(args, what: str, caps: dict | None = None, **values: int) -> No
             )
 
 
+def _given(args, flag: str):
+    """The value of a flag such as ``--to-order``; None when it was not given."""
+    return getattr(args, flag[2:].replace("-", "_"), None)
+
+
+def _refuse_unread(args, owner: str, flags) -> None:
+    """Refuse the first of ``flags`` that was given: ``owner`` reads none."""
+    for flag in flags:
+        if _given(args, flag) is not None:
+            raise UsageError(f"{owner} takes no {flag}")
+
+
 # ---------------------------------------------------------------------------
 # expression language
 
 
 class ExpressionError(UsageError):
     def __init__(self, position: int, message: str) -> None:
-        self.position = position
         super().__init__(f"parse error at position {position}: {message}")
 
 
@@ -340,14 +351,11 @@ _FAMILIES = {
 def _resolve_input(args) -> tuple[Permutation, Partition | None, int]:
     """The target, its partition when one was given, and the checked genus;
     a flag that the family or the partition would leave unread is refused."""
-    for flag, value, read in (("--root", args.root, args.family == "star"),
-                              ("--order", args.order, args.family == "monotone")):
-        if value is not None and not read:
-            raise UsageError(f"family {args.family} takes no {flag}")
+    _refuse_unread(args, f"family {args.family}", [
+        flag for flag, family in (("--root", "star"), ("--order", "monotone"))
+        if family != args.family])
     if args.partition is not None:
-        for flag, value in (("--target", args.target), ("--n", args.n)):
-            if value is not None:
-                raise UsageError(f"--partition takes no {flag}")
+        _refuse_unread(args, "--partition", ("--target", "--n"))
     if args.genus < 0:
         raise UsageError("genus must be nonnegative")
     if args.partition:
@@ -381,6 +389,7 @@ def _count_one(args, method: str, target: Permutation, lam: Partition | None,
         if formula is None:
             raise UsageError(f"no closed form for family {args.family}")
         shape = lam if lam is not None else target.cycle_type()
+        _check_bound(args, "formula route", genus=genus)
         value = formula(shape, genus)
         if value is None:
             raise UsageError(f"no closed form for family {args.family} at class {shape}")
@@ -446,7 +455,7 @@ def cmd_list(args) -> int:
 
 
 def _require(args, flag: str):
-    value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+    value = _given(args, flag)
     if value is None:
         raise UsageError(f"--map {args.map} requires {flag}")
     return value
@@ -500,76 +509,63 @@ def _md_input(args) -> MonotoneDoubleFactorisation:
     return MonotoneDoubleFactorisation.from_factors(n, sigma, tail, target)
 
 
-def _end_line(obj) -> str:
-    if isinstance(obj, StarFactorisation):
-        return (
-            f"end: family=star root={obj.root} factors={obj.to_line()} "
-            f"target={obj.target} genus={obj.genus}"
-        )
-    if isinstance(obj, MonotoneFactorisation):
-        return (
-            f"end: family=monotone order={obj.order} factors={obj.to_line()} "
-            f"target={obj.target} genus={obj.genus}"
-        )
-    tail = "".join(str(t) for t in obj.factors)
-    return (
-        f"end: family=md sigma={obj.sigma} tail={tail} "
-        f"target={obj.target} genus={obj.genus}"
-    )
+# input kind -> the flags it reads besides --n and --target, and its reader
+_TRACE_INPUTS = {
+    "star": (("--root", "--legs"), _star_input),
+    "monotone": (("--factors", "--order"), _monotone_input),
+    "md": (("--sigma", "--tail"), _md_input),
+}
+
+# map -> its input kind, its own flag (if any), how that flag's text is read
+# at the input's degree (None: as given), and the map itself
+_TRACE_MAPS = {
+    "gamma": ("star", None, None, gamma),
+    "gamma-inverse": ("md", None, None, gamma_inverse),
+    "lambda-j": ("monotone", "--j", None, lambda_j),
+    "lambda-j-inverse": ("monotone", "--j", None, lambda_j_inverse),
+    "lambda-order": ("monotone", None, None, lambda_order),
+    "lambda-order-inverse": ("monotone", "--to-order", _parse_order, lambda_order_inverse),
+    "delta": ("monotone", "--conjugator", _parse_permutation, delta),
+    "theta": ("md", "--conjugator", _parse_permutation, theta),
+    "reroot": ("star", "--new-root", None, reroot),
+    "witness": ("star", "--to-target", _parse_permutation, centrality_witness),
+}
 
 
-# map -> the flags it reads besides --n and --target: its input's, then its own
-_STAR, _MONO, _MD = ("--root", "--legs"), ("--factors", "--order"), ("--sigma", "--tail")
-_TRACE_READS = {
-    "gamma": _STAR, "gamma-inverse": _MD,
-    "lambda-j": _MONO + ("--j",), "lambda-j-inverse": _MONO + ("--j",),
-    "lambda-order": _MONO, "lambda-order-inverse": _MONO + ("--to-order",),
-    "delta": _MONO + ("--conjugator",), "theta": _MD + ("--conjugator",),
-    "reroot": _STAR + ("--new-root",), "witness": _STAR + ("--to-target",),
+def _trace_reads(name: str) -> tuple:
+    """The flags a map reads besides --n and --target: its input's, then its own."""
+    kind, own, _, _ = _TRACE_MAPS[name]
+    return _TRACE_INPUTS[kind][0] + ((own,) if own else ())
+
+
+# record type -> its end line, given the record and its factors as one string
+_END_LINES = {
+    StarFactorisation:
+        "end: family=star root={0.root} factors={1} target={0.target} genus={0.genus}",
+    MonotoneFactorisation:
+        "end: family=monotone order={0.order} factors={1} target={0.target} genus={0.genus}",
+    MonotoneDoubleFactorisation:
+        "end: family=md sigma={0.sigma} tail={1} target={0.target} genus={0.genus}",
 }
 
 
 def cmd_trace(args) -> int:
-    reads = _TRACE_READS[args.map]
-    for flag in dict.fromkeys(sum(_TRACE_READS.values(), ())):
-        if flag not in reads and getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise UsageError(f"--map {args.map} takes no {flag}")
+    reads = _trace_reads(args.map)
+    _refuse_unread(args, f"--map {args.map}", [
+        flag for flag in dict.fromkeys(sum(map(_trace_reads, _TRACE_MAPS), ()))
+        if flag not in reads])
     if args.n is not None:
         _check_bound(args, "trace", n=args.n)
+    kind, own, read, move = _TRACE_MAPS[args.map]
+    start = _TRACE_INPUTS[kind][1](args)
     trace: list = []
-    if args.map == "gamma":
-        result = gamma(_star_input(args), trace)
-    elif args.map == "gamma-inverse":
-        result = gamma_inverse(_md_input(args), trace)
-    elif args.map == "lambda-j":
-        result = lambda_j(_monotone_input(args), _require(args, "--j"), trace)
-    elif args.map == "lambda-j-inverse":
-        result = lambda_j_inverse(_monotone_input(args), _require(args, "--j"), trace)
-    elif args.map == "lambda-order":
-        result = lambda_order(_monotone_input(args), trace)
-    elif args.map == "lambda-order-inverse":
-        n = _require(args, "--n")
-        order = _parse_order(_require(args, "--to-order"), n)
-        result = lambda_order_inverse(_monotone_input(args), order, trace)
-    elif args.map == "delta":
-        n = _require(args, "--n")
-        d = _parse_permutation(_require(args, "--conjugator"), n)
-        result = delta(_monotone_input(args), d, trace)
-    elif args.map == "theta":
-        md = _md_input(args)
-        d = _parse_permutation(_require(args, "--conjugator"), md.n)
-        result = theta(md, d, trace)
-    elif args.map == "reroot":
-        result = reroot(_star_input(args), _require(args, "--new-root"), trace)
-    elif args.map == "witness":
-        star = _star_input(args)
-        target = _parse_permutation(_require(args, "--to-target"), star.n)
-        result = centrality_witness(star, target, trace)
+    if own is None:
+        result = move(start, trace)
     else:
-        raise AssertionError(args.map)
-
+        value = _require(args, own)
+        result = move(start, value if read is None else read(value, start.n), trace)
     lines = [str(step) for step in trace]
-    lines.append(_end_line(result))
+    lines.append(_END_LINES[type(result)].format(result, "".join(map(str, result.factors))))
     results = [
         {
             "pos": s.pos,
@@ -633,13 +629,12 @@ def cmd_verify(args) -> int:
     spec = SUITES[args.suite]
     overrides = {}
     for name in ("n", "gmax", "kmax", "wmax"):
-        value = getattr(args, name, None)
-        if value is None:
-            continue
+        value = getattr(args, name)
         if name not in spec.defaults:
-            raise UsageError(f"suite {args.suite} takes no --{name}")
-        _check_bound(args, f"suite {args.suite}", spec.caps, **{name: value})
-        overrides[name] = value
+            _refuse_unread(args, f"suite {args.suite}", [f"--{name}"])
+        elif value is not None:
+            _check_bound(args, f"suite {args.suite}", spec.caps, **{name: value})
+            overrides[name] = value
     report = run_suite(args.suite, **overrides)
     config = {"suite": args.suite, **spec.defaults, **overrides}
     results = [
@@ -665,29 +660,15 @@ def cmd_table(args) -> int:
     config = {"nmax": args.nmax, "gmax": args.gmax}
     columns = ["partition", "genus", "count_star", "md_count", "feray",
                "closed_form", "all_agree"]
-
-    def cell(row, col):
-        value = row[col]
-        if col == "all_agree":
-            return "yes" if value else "no"
-        return str(value)
-
-    if args.format == "json":
-        _emit(args, "table", config, rows, passed, [])
-    elif args.format == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(cell(row, c) for c in columns))
-        for line in lines:
-            print(line)
-    else:  # text renders as markdown
-        header = "| " + " | ".join(columns) + " |"
-        rule = "|" + "|".join(" --- " for _ in columns) + "|"
-        lines = [header, rule]
-        for row in rows:
-            lines.append("| " + " | ".join(cell(row, c) for c in columns) + " |")
-        for line in lines:
-            print(line)
+    # every cell as printed; all_agree, the last column, reads yes or no
+    grid = [columns] + [[str(row[c]) for c in columns[:-1]] + ["yes" if row["all_agree"] else "no"]
+                        for row in rows]
+    if args.format == "csv":
+        lines = [",".join(cells) for cells in grid]
+    else:  # text renders as markdown; json reads only the rows
+        lines = ["| " + " | ".join(cells) + " |" for cells in grid]
+        lines.insert(1, "|" + "|".join(" --- " for _ in columns) + "|")
+    _emit(args, "table", config, rows, passed, lines)
     return 0 if passed else 1
 
 
@@ -742,11 +723,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("trace", parents=common(),
                         help="print the move-by-move trace of a bijection")
-    pt.add_argument("--map", required=True,
-                    choices=["gamma", "gamma-inverse", "lambda-j",
-                             "lambda-j-inverse", "lambda-order",
-                             "lambda-order-inverse", "delta", "theta",
-                             "reroot", "witness"])
+    pt.add_argument("--map", required=True, choices=list(_TRACE_MAPS))
     pt.add_argument("--n", type=int)
     pt.add_argument("--root", type=int)
     pt.add_argument("--legs", help='star legs, e.g. "1,2,1"')

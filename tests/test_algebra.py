@@ -134,6 +134,17 @@ class TestElements:
         with pytest.raises(ValueError):
             class_sum(3, Partition((2,)))
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_is_central_without_reading_classes(self, monkeypatch, n):
+        # zero has no coefficient to compare, so no class of S_n is walked
+        def unread(n):
+            raise AssertionError("conjugacy_classes called for the zero element")
+
+        monkeypatch.setattr("starfact.algebra.conjugacy_classes", unread)
+        zero = AlgebraElement.zero(n)
+        assert zero.central_witness() is None
+        assert zero.is_central()
+
 
 class TestFourthPowerTable:
     def setup_method(self):

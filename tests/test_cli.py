@@ -5,6 +5,7 @@ one subprocess test at the bottom guards the installed entry point.
 """
 
 import json
+import re
 import subprocess
 import sys
 
@@ -22,6 +23,34 @@ from starfact.algebra import (
     transitive_evaluate,
 )
 from starfact.verify import CheckResult, SuiteReport, SuiteSpec, SUITES
+
+
+# trace: a valid start of each input kind, a value for every map-specific flag,
+# and each map's input kind and own flag, in the order --map lists the maps
+TRACE_STARTS = {
+    "star": ("--n", "3", "--root", "3", "--legs", "1,2,1"),
+    "monotone": ("--n", "3", "--factors", "(1 2)(1 3)"),
+    "md": ("--n", "3", "--sigma", "(1 2 3)"),
+}
+TRACE_VALUES = {
+    "--root": "3", "--legs": "1,2,1", "--sigma": "(1 2 3)", "--tail": "(1 2)",
+    "--factors": "(1 2)", "--order": "3<2<1", "--j": "1", "--to-order": "3<2<1",
+    "--conjugator": "(1 2)", "--new-root": "1", "--to-target": "(1 3)",
+}
+TRACE_MAPS = {
+    "gamma": ("star", None), "gamma-inverse": ("md", None),
+    "lambda-j": ("monotone", "--j"), "lambda-j-inverse": ("monotone", "--j"),
+    "lambda-order": ("monotone", None), "lambda-order-inverse": ("monotone", "--to-order"),
+    "delta": ("monotone", "--conjugator"), "theta": ("md", "--conjugator"),
+    "reroot": ("star", "--new-root"), "witness": ("star", "--to-target"),
+}
+TRACE_INPUT_FLAGS = {"star": ("--root", "--legs"), "monotone": ("--factors", "--order"),
+                     "md": ("--sigma", "--tail")}
+
+
+def trace_reads(name):
+    kind, own = TRACE_MAPS[name]
+    return TRACE_INPUT_FLAGS[kind] + ((own,) if own else ())
 
 
 def run(capsys, *argv):
@@ -68,6 +97,15 @@ class TestCount:
             "family=md partition=[3] target=(1 2 3) genus=400\n"
             f"method=formula count={(2**802 - 1) // 3}\n"
         )
+
+    def test_formula_route_past_its_cap(self, capsys):
+        # the md closed form is fast at any genus; the star series formula is not
+        argv = ("count", "--family", "md", "--partition", "[3]", "--genus", "401",
+                "--method", "formula")
+        assert run(capsys, *argv)[0] == 2
+        code, out, err = run(capsys, *argv, "--unsafe-bounds")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"method=formula count={(2**804 - 1) // 3}\n")
 
     def test_monotone_with_order(self, capsys):
         code, out, _ = run(
@@ -342,6 +380,48 @@ class TestTrace:
             "delta-tail", "theta-new-root", "reroot-to-target", "witness-factors"])
     def test_unread_flags_are_refused(self, capsys, argv, error):
         assert run(capsys, "trace", *argv) == (2, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name in TRACE_MAPS for flag in TRACE_VALUES
+        if flag not in trace_reads(name)])
+    def test_every_unread_flag_is_refused(self, capsys, name, flag):
+        argv = ("--map", name, *TRACE_STARTS[TRACE_MAPS[name][0]], flag, TRACE_VALUES[flag])
+        assert run(capsys, "trace", *argv) == (2, "", f"error: --map {name} takes no {flag}\n")
+
+    # every flag of a valid start and the map's own flag, but --factors: no factors is valid
+    @pytest.mark.parametrize("name, flag", [
+        (name, flag) for name, (kind, own) in TRACE_MAPS.items()
+        for flag in TRACE_STARTS[kind][::2] + ((own,) if own else ()) if flag != "--factors"])
+    def test_every_needed_flag_is_required(self, capsys, name, flag):
+        kind, own = TRACE_MAPS[name]
+        given = dict(zip(TRACE_STARTS[kind][::2], TRACE_STARTS[kind][1::2]))
+        if own:
+            given[own] = TRACE_VALUES[own]
+        del given[flag]
+        argv = [token for pair in given.items() for token in pair]
+        assert run(capsys, "trace", "--map", name, *argv) == (
+            2, "", f"error: --map {name} requires {flag}\n")
+
+    @pytest.mark.parametrize("name", [name for name, (_, own) in TRACE_MAPS.items() if own])
+    def test_input_is_read_before_the_own_flag(self, capsys, name):
+        # a bad input is reported ahead of the map's missing own flag, for every map
+        bad = {"star": ("--n", "3", "--root", "3", "--legs", "1,x"),
+               "monotone": ("--n", "3", "--factors", "(1 2) junk"),
+               "md": ("--n", "3", "--sigma", "(1 2")}
+        error = {"star": "bad legs '1,x': expected comma-separated integers",
+                 "monotone": "bad factors '(1 2) junk': leftover text 'junk'",
+                 "md": "bad permutation '(1 2': not cycle notation: '(1 2'"}
+        kind = TRACE_MAPS[name][0]
+        assert run(capsys, "trace", "--map", name, *bad[kind]) == (2, "", f"error: {error[kind]}\n")
+
+    def test_unknown_map_lists_every_map(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["trace", "--map", "nope"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        listed = re.search(r"invalid choice: 'nope' \(choose from (.*)\)\n", err).group(1)
+        assert listed.replace("'", "").split(", ") == list(TRACE_MAPS)
 
     def test_unsafe_bounds_is_refused(self, capsys):
         # a trace has no feasibility bound to override
@@ -672,30 +752,44 @@ class TestTable:
         assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
+# (argv, what the bound guards, flag, cap, value): one refusal per cap in cli._CAPS
+CAP_CASES = [
+    (("count", "--family", "star", "--partition", "[7]", "--genus", "0"),
+     "DP counting", "n", 6, 7),
+    (("count", "--family", "star", "--partition", "[2,1]", "--genus", "9"),
+     "DP counting", "genus", 8, 9),
+    (("list", "--family", "star", "--target", "(1 2 3 4 5 6)", "--genus", "0"),
+     "listing", "n", 5, 6),
+    (("count", "--family", "star", "--partition", "[3]", "--genus", "3",
+      "--method", "listing"), "listing", "genus", 2, 3),
+    (("count", "--family", "dh", "--partition", "[8]", "--genus", "0"),
+     "double Hurwitz enumeration", "n", 7, 8),
+    (("count", "--family", "dh", "--partition", "[2,1]", "--genus", "2"),
+     "double Hurwitz enumeration", "genus", 1, 2),
+    (("count", "--family", "star", "--partition", "[3]", "--genus", "401",
+      "--method", "formula"), "formula route", "genus", 400, 401),
+    (("algebra", "--n", "7", "--expr", "e[1]"), "group algebra", "n", 6, 7),
+    (("algebra", "--n", "6", "--expr", "T(p[2])"), "transitive evaluation", "n", 5, 6),
+    (("table", "--nmax", "6"), "agreement table", "nmax", 5, 6),
+    (("table", "--gmax", "3"), "agreement table", "gmax", 2, 3),
+]
+CAP_IDS = ["dp-n", "dp-genus", "listing-n", "listing-genus", "formula-genus", "dh-n", "dh-genus",
+           "algebra-n", "transitive-n", "table-nmax", "table-gmax"]
+
+
 class TestBounds:
-    @pytest.mark.parametrize("argv, what, name, cap, value", [
-        (("count", "--family", "star", "--partition", "[7]", "--genus", "0"),
-         "DP counting", "n", 6, 7),
-        (("count", "--family", "star", "--partition", "[2,1]", "--genus", "9"),
-         "DP counting", "genus", 8, 9),
-        (("list", "--family", "star", "--target", "(1 2 3 4 5 6)", "--genus", "0"),
-         "listing", "n", 5, 6),
-        (("count", "--family", "star", "--partition", "[3]", "--genus", "3",
-          "--method", "listing"), "listing", "genus", 2, 3),
-        (("count", "--family", "dh", "--partition", "[8]", "--genus", "0"),
-         "double Hurwitz enumeration", "n", 7, 8),
-        (("count", "--family", "dh", "--partition", "[2,1]", "--genus", "2"),
-         "double Hurwitz enumeration", "genus", 1, 2),
-        (("algebra", "--n", "7", "--expr", "e[1]"), "group algebra", "n", 6, 7),
-        (("algebra", "--n", "6", "--expr", "T(p[2])"), "transitive evaluation", "n", 5, 6),
-        (("table", "--nmax", "6"), "agreement table", "nmax", 5, 6),
-        (("table", "--gmax", "3"), "agreement table", "gmax", 2, 3),
-    ], ids=["dp-n", "dp-genus", "listing-n", "listing-genus", "dh-n", "dh-genus",
-            "algebra-n", "transitive-n", "table-nmax", "table-gmax"])
+    @pytest.mark.parametrize("argv, what, name, cap, value", CAP_CASES, ids=CAP_IDS)
     def test_cap_refusal(self, capsys, argv, what, name, cap, value):
         assert run(capsys, *argv) == (2, "", (
             f"error: bound exceeded for {what}: {name} <= {cap} (got {name}={value}); "
             "pass --unsafe-bounds to override\n"))
+
+    def test_every_cap_has_a_case(self):
+        # a cap added to cli._CAPS lands with its refusal case in CAP_CASES
+        cases = {(what, name): cap for _, what, name, cap, _ in CAP_CASES}
+        assert cases == {(what, name): cap for what, caps in cli._CAPS.items()
+                         for name, cap in caps.items()}
+        assert cli._CAPS["trace"] == {}
 
 
 class TestEnvironment:
