@@ -277,13 +277,6 @@ def _star_legs(n: int, sigma: Permutation, tail, root: int, trace: list | None) 
     return tuple(t.other(root) for t in facs)
 
 
-def _star(n: int, root: int, legs, target: Permutation, genus: int) -> StarFactorisation:
-    out = StarFactorisation.from_legs(n, root, legs, target)
-    if out.genus != genus:
-        raise AssertionError(f"rebuilt star factorisation has genus {out.genus}, not {genus}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # adjacent order swaps
 
@@ -387,13 +380,15 @@ def gamma_inverse(
     md: MonotoneDoubleFactorisation, trace: list | None = None
 ) -> StarFactorisation:
     n = md.n
-    return _star(n, n, _star_legs(n, md.sigma, md.factors, n, trace), md.target, md.genus)
+    legs = _star_legs(n, md.sigma, md.factors, n, trace)
+    return StarFactorisation(n, n, legs, md.target, md.genus)
 
 
 def _rerooted(f: StarFactorisation, form, root: int, trace: list | None) -> StarFactorisation:
     """The star factorisation at ``root`` read from ``form``, the cycle form of ``f``."""
     sigma, tail = form
-    return _star(f.n, root, _star_legs(f.n, sigma, tail, root, trace), f.target, f.genus)
+    legs = _star_legs(f.n, sigma, tail, root, trace)
+    return StarFactorisation(f.n, root, legs, f.target, f.genus)
 
 
 def reroot(f: StarFactorisation, root: int, trace: list | None = None) -> StarFactorisation:
@@ -416,4 +411,4 @@ def centrality_witness(
     sigma, tail = _cycle_form(f.n, f.root, f.legs, trace)
     sigma, tail = _transport(d, sigma, tail, trace)
     legs = _star_legs(f.n, sigma, tail, f.root, trace)
-    return _star(f.n, f.root, legs, f.target.relabel(d.inverse()), f.genus)
+    return StarFactorisation(f.n, f.root, legs, f.target.relabel(d.inverse()), f.genus)

@@ -627,14 +627,11 @@ def cmd_algebra(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = SUITES[args.suite]
-    overrides = {}
-    for name in ("n", "gmax", "kmax", "wmax"):
-        value = getattr(args, name)
-        if name not in spec.defaults:
-            _refuse_unread(args, f"suite {args.suite}", [f"--{name}"])
-        elif value is not None:
-            _check_bound(args, f"suite {args.suite}", spec.caps, **{name: value})
-            overrides[name] = value
+    names = ("n", "gmax", "kmax", "wmax")
+    owner = f"suite {args.suite}"
+    _refuse_unread(args, owner, [f"--{name}" for name in names if name not in spec.defaults])
+    overrides = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    _check_bound(args, owner, spec.caps, **overrides)
     report = run_suite(args.suite, **overrides)
     config = {"suite": args.suite, **spec.defaults, **overrides}
     results = [

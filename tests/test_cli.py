@@ -667,6 +667,12 @@ class TestVerify:
         assert code == 2
         assert err == "error: suite theorem-1.1 takes no --gmax\n"
 
+    def test_unread_flag_is_refused_before_any_bound(self, capsys):
+        # --n 99 is past the suite's cap, but the unread --gmax is named first
+        code, out, err = run(capsys, "verify", "--suite", "theorem-1.1", "--n", "99", "--gmax", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: suite theorem-1.1 takes no --gmax\n"
+
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
         def doomed():
             return SuiteReport("always-fails", [CheckResult("doomed", False, "by design")])

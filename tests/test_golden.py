@@ -1,4 +1,4 @@
-"""Frozen trace outputs; see golden/README.md for the file layout."""
+"""Frozen trace and verify outputs; see golden/README.md for the file layout."""
 
 import shlex
 from pathlib import Path

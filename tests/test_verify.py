@@ -108,3 +108,58 @@ class TestRegistry:
         report = run_suite("theorem-1.1", n=3)
         assert report.passed
         assert all(c.passed for c in report.checks)
+
+
+# each map the bijections suite calls, replaced by a wrong map of the same
+# signature, with the one check that map belongs to
+_GAMMA = "star to monotone double bijective from every root"
+_TRANSPORT = "conjugation transport bijective for every conjugator"
+_WITNESS = "class transport witnesses equal counts"
+_BROKEN_MAPS = [
+    ("gamma", lambda f, trace=None: None, _GAMMA),
+    ("gamma", lambda f, trace=None: f, _GAMMA),
+    ("gamma_inverse", lambda md, trace=None: None, _GAMMA),
+    ("gamma_inverse", lambda md, trace=None: md, _GAMMA),
+    ("lambda_j_inverse", lambda f, j, trace=None: f,
+     "adjacent-swap rewrite bijective with exact round trips"),
+    ("lambda_order_inverse", lambda f, order, trace=None: None,
+     "order rewrite to natural is bijective per order"),
+    ("lambda_order_inverse", lambda f, order, trace=None: f,
+     "order rewrite to natural is bijective per order"),
+    ("reroot_all", lambda f: (f,) * f.n, "rerooting bijective with round trips"),
+    ("delta", lambda f, d, trace=None: None, _TRANSPORT),
+    ("delta", lambda f, d, trace=None: f, _TRANSPORT),
+    ("theta", lambda md, d, trace=None: None, _TRANSPORT),
+    ("theta", lambda md, d, trace=None: md, _TRANSPORT),
+    ("centrality_witness", lambda f, target, trace=None: None, _WITNESS),
+    ("centrality_witness", lambda f, target, trace=None: f, _WITNESS),
+]
+
+
+def _failed_labels(report: SuiteReport) -> set[str]:
+    """The failed checks' labels, with their ', n=..., g=...' tails cut off."""
+    return {c.label.split(", n=")[0] for c in report.checks if not c.passed}
+
+
+class TestBrokenMapsFailTheirOwnCheck:
+    @pytest.mark.parametrize("name, wrong, label", _BROKEN_MAPS,
+                             ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(_BROKEN_MAPS)])
+    def test_bijections_suite(self, monkeypatch, name, wrong, label):
+        monkeypatch.setattr(f"starfact.verify.{name}", wrong)
+        assert _failed_labels(run_suite("bijections", n=3, gmax=1)) == {label}
+
+    @pytest.mark.parametrize("wrong", [lambda f, trace=None: None, lambda f, trace=None: f])
+    def test_theorem_1_4_listing_half(self, monkeypatch, wrong):
+        monkeypatch.setattr("starfact.verify.gamma", wrong)
+        report = run_suite("theorem-1.4", n=3, gmax=1)
+        assert _failed_labels(report) == {"explicit bijection matches listings"}
+
+
+def test_formulas_listing_check_keeps_to_its_budget(monkeypatch):
+    # the identity has 30 factorisations at (4, 0) and 420 at (4, 1)
+    monkeypatch.setattr("starfact.verify._LISTING_RECORD_CAP", 30)
+    report = run_suite("formulas-6.2", n=4, gmax=1)
+    listed = [c.label for c in report.checks if c.label.startswith("closed forms match")]
+    assert report.passed
+    assert listed == [f"closed forms match exhaustive listings, n={n}, g={g}"
+                      for n, g in ((2, 0), (2, 1), (3, 0), (3, 1), (4, 0))]
