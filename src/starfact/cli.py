@@ -428,6 +428,11 @@ def cmd_count(args) -> int:
             value = formula(lam, genus)
             if value is not None:
                 results.append({"method": "formula", "count": value})
+    # Python converts an integer to text only up to a limit on its digits (0
+    # for none; the limit is absent before Python 3.10.7)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and any(r["count"] >= 10**limit for r in results):
+        raise UsageError(f"the count has more than {limit} decimal digits, more than can be printed")
     lines = [" ".join(f"{key}={value}" for key, value in config.items())]
     lines += [f"method={r['method']} count={r['count']}" for r in results]
     passed = len({r["count"] for r in results}) == 1

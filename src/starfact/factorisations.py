@@ -13,7 +13,12 @@ Four families are covered.
   arbitrary transpositions, landing in a second class, generating a
   transitive group (H3''); these are counted, not listed.
 
-Each record is validated once, when it is built, in O(n + m) for m
+Each record is a plain frozen class on :class:`~starfact.perms.Frozen`,
+written out by hand rather than with ``dataclasses``, whose import and
+class decoration were most of the time ``import starfact`` took: its
+``__init__`` stores the five fields and calls ``__post_init__``, and its
+equality, hash and ``repr`` read the tuple of those fields in order.
+``__post_init__`` validates the record once, in O(n + m) for m
 factors: the conditions read integer images and symbols, the cycle counts
 come from the cycle data each :class:`Permutation` computes once and
 keeps, and ``_product`` swaps two entries of an inverse-image list per
@@ -36,12 +41,12 @@ One cache keeps the ``_WALK_CACHE_SIZE`` most recently used walks.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import combinations, permutations, repeat
 from operator import attrgetter, itemgetter, methodcaller
 
 from .perms import (
+    Frozen,
     Partition,
     Permutation,
     TotalOrder,
@@ -93,15 +98,15 @@ def _genus(condition: str, what: str, length: int, base: int, formula: str) -> i
 # records
 
 
-@dataclass(frozen=True)
-class StarFactorisation:
+class StarFactorisation(Frozen):
     """Legs (a_1, ..., a_m), standing for the product (a_1 root)...(a_m root)."""
 
-    n: int
-    root: int
-    legs: tuple[int, ...]
-    target: Permutation
-    genus: int
+    _fields = ("n", "root", "legs", "target", "genus")
+
+    def __init__(self, n: int, root: int, legs: tuple[int, ...], target: Permutation,
+                 genus: int) -> None:
+        self.__dict__.update(n=n, root=root, legs=legs, target=target, genus=genus)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n, root = self.n, self.root
@@ -124,6 +129,15 @@ class StarFactorisation:
             )
         if _product(n, zip(legs, repeat(root))) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.n, self.root, self.legs, self.target, self.genus)
+                    == (other.n, other.root, other.legs, other.target, other.genus))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.root, self.legs, self.target, self.genus))
 
     @classmethod
     def from_legs(cls, n: int, root: int, legs, target: Permutation) -> "StarFactorisation":
@@ -160,15 +174,15 @@ class StarFactorisation:
         }
 
 
-@dataclass(frozen=True)
-class MonotoneFactorisation:
+class MonotoneFactorisation(Frozen):
     """Transpositions whose larger symbols weakly increase under ``order``."""
 
-    n: int
-    order: TotalOrder
-    factors: tuple[Transposition, ...]
-    target: Permutation
-    genus: int
+    _fields = ("n", "order", "factors", "target", "genus")
+
+    def __init__(self, n: int, order: TotalOrder, factors: tuple[Transposition, ...],
+                 target: Permutation, genus: int) -> None:
+        self.__dict__.update(n=n, order=order, factors=factors, target=target, genus=genus)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.n
@@ -192,6 +206,15 @@ class MonotoneFactorisation:
         if _product(n, factors) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.n, self.order, self.factors, self.target, self.genus)
+                    == (other.n, other.order, other.factors, other.target, other.genus))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.order, self.factors, self.target, self.genus))
+
     @classmethod
     def from_factors(cls, n, order, factors, target) -> "MonotoneFactorisation":
         factors = tuple(factors)
@@ -214,15 +237,15 @@ class MonotoneFactorisation:
         }
 
 
-@dataclass(frozen=True)
-class MonotoneDoubleFactorisation:
+class MonotoneDoubleFactorisation(Frozen):
     """A full cycle, then a tail monotone under the natural order."""
 
-    n: int
-    sigma: Permutation
-    factors: tuple[Transposition, ...]
-    target: Permutation
-    genus: int
+    _fields = ("n", "sigma", "factors", "target", "genus")
+
+    def __init__(self, n: int, sigma: Permutation, factors: tuple[Transposition, ...],
+                 target: Permutation, genus: int) -> None:
+        self.__dict__.update(n=n, sigma=sigma, factors=factors, target=target, genus=genus)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.n
@@ -245,6 +268,15 @@ class MonotoneDoubleFactorisation:
             last = b
         if _product(n, factors, self.sigma) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return ((self.n, self.sigma, self.factors, self.target, self.genus)
+                    == (other.n, other.sigma, other.factors, other.target, other.genus))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.sigma, self.factors, self.target, self.genus))
 
     @classmethod
     def from_factors(cls, n, sigma, factors, target) -> "MonotoneDoubleFactorisation":

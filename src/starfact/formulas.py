@@ -6,13 +6,13 @@ Everything is exact: every stated division is checked to come out even.
 The series formula works on plain lists of `Fraction` coefficients: its
 series are even, so each list holds the coefficients of t^0, t^2, ...,
 t^(2g), and grouping equal parts leaves only nonnegative powers, with no
-series inverse.
+series inverse.  Only the series functions import :mod:`fractions` (and
+the :mod:`decimal` it pulls in), so that ``import starfact`` stays light.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -74,10 +74,12 @@ def catalan(m: int) -> int:
 # closed formulas
 
 
-def _even_power(c: int, e: int, genus: int) -> list[Fraction]:
+def _even_power(c: int, e: int, genus: int) -> list:
     """Coefficients of u^0..u^genus, u = t^2, in f(c*t)^e for e >= 0, where
     f(t) = 2 sinh(t/2)/t has c^(2k) / (4^k (2k+1)!) at u^k.  Since f(0) = 1,
     the power obeys k p_k = sum_(j=1..k) ((e+1) j - k) f_j p_(k-j)."""
+    from fractions import Fraction
+
     f = [Fraction(c ** (2 * k), 4**k * factorial(2 * k + 1)) for k in range(genus + 1)]
     p = [Fraction(1)]
     for k in range(1, genus + 1):
@@ -101,6 +103,8 @@ def feray_count(lam: Partition, genus: int) -> int:
     >>> feray_count(Partition((2, 1)), 0)
     2
     """
+    from fractions import Fraction
+
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     n = lam.n

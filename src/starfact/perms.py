@@ -16,7 +16,6 @@ costs one tuple to build.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _iter_permutations
 from math import factorial
@@ -27,27 +26,64 @@ class DegreeMismatchError(ValueError):
     """Two operands live in symmetric groups of different degree."""
 
 
+class Frozen:
+    """Base of the package's immutable values: assigning or deleting any
+    attribute raises AttributeError.
+
+    A record subclass names its fields in ``_fields``, which ``repr`` lists
+    as ``Name(field=value, ...)``.  Its ``__init__`` stores each field in
+    the instance ``__dict__`` and then calls ``__post_init__``, which
+    validates the record, and its ``__eq__`` and ``__hash__`` compare and
+    hash the tuple of its fields, and only against its own class.  So a
+    record is built, compared and pickled as a frozen dataclass would be,
+    without the import and class-decoration cost of ``dataclasses``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a {type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A weakly decreasing tuple of positive integers; ``()`` is empty.
 
     >>> Partition((3, 1)).n, Partition((3, 1)).length
     (4, 2)
     """
 
-    parts: tuple[int, ...] = ()
+    _fields = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...] = ()) -> None:
+        self.__dict__["parts"] = parts
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+        parts = self.__dict__["parts"] = tuple(self.parts)
         if any(x < 1 for x in parts):
             raise ValueError(f"parts must be positive: {parts}")
         if list(parts) != sorted(parts, reverse=True):
             raise ValueError(f"parts must weakly decrease: {parts}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def n(self) -> int:
@@ -122,7 +158,7 @@ def _cycle_type_of(cycles) -> Partition:
     return Partition(tuple(sorted(map(len, cycles), reverse=True)))
 
 
-class Permutation:
+class Permutation(Frozen):
     """A bijection of {1..n}, stored as the tuple of images of 1, 2, ..., n.
 
     The cycles are computed on first use and kept, so ``cycles()``,
@@ -146,12 +182,6 @@ class Permutation:
         p = object.__new__(cls)
         _set_images(p, images)
         return p
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign {name!r}: a Permutation is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: a Permutation is immutable")
 
     def __reduce__(self):
         return (self.__class__, (self.images,))
@@ -433,7 +463,7 @@ def all_transpositions(n: int) -> tuple[Transposition, ...]:
 # total orders
 
 
-class TotalOrder:
+class TotalOrder(Frozen):
     """A total order on {1..n}, given as its sequence from smallest to largest.
 
     ``TotalOrder((3, 2, 1))`` is the order 3 < 2 < 1.  Orders are shared
@@ -449,12 +479,6 @@ class TotalOrder:
             raise ValueError(f"not an arrangement of [{len(sequence)}]: {sequence}")
         object.__setattr__(self, "sequence", sequence)
         object.__setattr__(self, "_rank", {s: i + 1 for i, s in enumerate(sequence)})
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign {name!r}: a TotalOrder is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: a TotalOrder is immutable")
 
     def __reduce__(self):
         return (self.__class__, (self.sequence,))

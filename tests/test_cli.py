@@ -107,6 +107,21 @@ class TestCount:
         assert (code, err) == (0, "")
         assert out.endswith(f"method=formula count={(2**804 - 1) // 3}\n")
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python prints integers of any length")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_count_past_the_printable_digits_is_refused(self, capsys, fmt):
+        # (2^40002 - 1) / 3 has 12 042 digits, past Python's default limit of
+        # 4300 on converting an integer to text
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(
+            capsys, "count", "--family", "md", "--partition", "[3]", "--genus", "20000",
+            "--method", "formula", "--unsafe-bounds", "--format", fmt,
+        )
+        assert (code, out) == (2, "")
+        assert err == (f"error: the count has more than {limit} decimal digits, "
+                       "more than can be printed\n")
+
     def test_monotone_with_order(self, capsys):
         code, out, _ = run(
             capsys,

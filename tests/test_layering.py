@@ -1,5 +1,5 @@
-"""Import structure: which starfact modules each route may read, and no
-import that is never read.
+"""Import structure: which starfact modules each route may read, no
+import that is never read, and no slow standard module on the import path.
 
 Each route computes on its own and only ``verify`` compares one route with
 another, so no route may import another.  The one piece two routes share
@@ -7,6 +7,9 @@ is the layered walk of ``factorisations``, which the group algebra reuses.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,15 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def test_import_path_is_light():
+    # measured against the modules the interpreter (with site) had loaded
+    # before the import, since site may preload some on its own
+    code = ("import sys; before = set(sys.modules); import starfact.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert "starfact.cli" in loaded
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(loaded)

@@ -1,10 +1,21 @@
 """Text round trips for the core types and the CLI input helpers."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starfact import Partition, Permutation, TotalOrder, Transposition
+from starfact import (
+    MonotoneDoubleFactorisation,
+    MonotoneFactorisation,
+    Partition,
+    Permutation,
+    StarFactorisation,
+    TotalOrder,
+    Transposition,
+)
 from starfact.cli import (
     UsageError,
     _parse_factors,
@@ -18,6 +29,7 @@ from starfact.factorisations import (
     enumerate_monotone_double,
     enumerate_star,
 )
+from starfact.verify import CheckResult, SuiteReport, SuiteSpec, suite_theorem_1_1
 
 
 perms = st.integers(1, 6).flatmap(
@@ -77,6 +89,90 @@ class TestRecords:
         assert mono.to_line() == "(1 2)(2 3)"
         md = enumerate_monotone_double(Permutation.parse("(1 2 3)"), 0)[0]
         assert md.to_line() == "(1 2 3)"
+
+
+def _perm(text):
+    return Permutation.parse(text)
+
+
+# each record class, built positionally and by keyword, with its repr
+RECORDS = {
+    "Partition": (
+        lambda: Partition((3, 1)),
+        lambda: Partition(parts=[3, 1]),
+        "Partition(parts=(3, 1))",
+    ),
+    "Partition-empty": (lambda: Partition(), lambda: Partition(parts=()), "Partition(parts=())"),
+    "StarFactorisation": (
+        lambda: StarFactorisation(3, 3, (1, 2, 1), _perm("(1 2)(3)"), 0),
+        lambda: StarFactorisation(n=3, root=3, legs=(1, 2, 1), target=_perm("(1 2)(3)"), genus=0),
+        "StarFactorisation(n=3, root=3, legs=(1, 2, 1), target=Permutation.parse('(1 2)(3)'),"
+        " genus=0)",
+    ),
+    "MonotoneFactorisation": (
+        lambda: MonotoneFactorisation(3, TotalOrder.natural(3),
+                                      (Transposition(1, 2), Transposition(2, 3)), _perm("(1 3 2)"), 0),
+        lambda: MonotoneFactorisation(n=3, order=TotalOrder((1, 2, 3)), target=_perm("(1 3 2)"),
+                                      factors=(Transposition(1, 2), Transposition(2, 3)), genus=0),
+        "MonotoneFactorisation(n=3, order=TotalOrder((1, 2, 3)), factors=(Transposition(a=1, b=2),"
+        " Transposition(a=2, b=3)), target=Permutation.parse('(1 3 2)'), genus=0)",
+    ),
+    "MonotoneDoubleFactorisation": (
+        lambda: MonotoneDoubleFactorisation(3, _perm("(1 2 3)"), (Transposition(1, 3),),
+                                            _perm("(1 2)(3)"), 0),
+        lambda: MonotoneDoubleFactorisation(n=3, sigma=_perm("(1 2 3)"), genus=0,
+                                            factors=(Transposition(1, 3),), target=_perm("(1 2)(3)")),
+        "MonotoneDoubleFactorisation(n=3, sigma=Permutation.parse('(1 2 3)'),"
+        " factors=(Transposition(a=1, b=3),), target=Permutation.parse('(1 2)(3)'), genus=0)",
+    ),
+    "CheckResult": (
+        lambda: CheckResult("a", True),
+        lambda: CheckResult(label="a", passed=True, detail=""),
+        "CheckResult(label='a', passed=True, detail='')",
+    ),
+    "SuiteReport": (
+        lambda: SuiteReport("demo", (CheckResult("a", False, "x"),)),
+        lambda: SuiteReport(checks=(CheckResult("a", False, detail="x"),), suite="demo"),
+        "SuiteReport(suite='demo', checks=(CheckResult(label='a', passed=False, detail='x'),))",
+    ),
+    "SuiteSpec": (
+        lambda: SuiteSpec("t", suite_theorem_1_1),
+        lambda: SuiteSpec(name="t", runner=suite_theorem_1_1, caps={}),
+        f"SuiteSpec(name='t', runner={suite_theorem_1_1!r}, caps={{}})",
+    ),
+}
+
+
+class TestRecordValues:
+    @pytest.mark.parametrize("kind", sorted(RECORDS))
+    def test_equal_hash_repr_frozen_and_pickled(self, kind):
+        positional, by_keyword, text = RECORDS[kind]
+        a, b = positional(), by_keyword()
+        assert a is not b and a == b and not a != b
+        assert a != tuple(a.__dict__.values()) and a != object()
+        if kind == "SuiteSpec":
+            # its caps are a dict, so it has no hash
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(b)
+        assert repr(a) == repr(b) == text
+        field = next(iter(a.__dict__))
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        with pytest.raises(AttributeError):
+            a.extra = None
+        for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert twin == a and repr(twin) == text
+
+    def test_default_caps_are_fresh_per_spec(self):
+        assert SuiteSpec("t", suite_theorem_1_1).caps is not SuiteSpec("t", suite_theorem_1_1).caps
+
+    def test_a_differing_field_breaks_equality(self):
+        assert CheckResult("a", True) != CheckResult("a", True, "x")
+        assert Partition((2, 1)) != Partition((3,))
 
 
 class TestInputHelpers:

@@ -56,6 +56,19 @@ class TestRegistry:
             assert spec.name == name
             assert set(spec.caps) == set(spec.defaults)
 
+    def test_defaults_follow_each_runners_signature(self):
+        assert {name: list(spec.defaults.items()) for name, spec in SUITES.items()} == {
+            "theorem-1.1": [("n", 6)],
+            "theorem-1.4": [("n", 5), ("gmax", 2)],
+            "theorem-1.7": [("n", 5), ("wmax", 5)],
+            "corollary-1.6": [("n", 5), ("kmax", 3)],
+            "recurrence-2.1": [("n", 6), ("gmax", 2)],
+            "formulas-6.2": [("n", 5), ("gmax", 2)],
+            "recurrence-6.3": [("n", 5), ("gmax", 3)],
+            "relation-6.4": [("n", 4)],
+            "bijections": [("n", 4), ("gmax", 1)],
+        }
+
     def test_readme_table_lists_every_suite_with_its_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("## Verification suites", 1)[1].split("\n## ", 1)[0]
@@ -133,6 +146,9 @@ _BROKEN_MAPS = [
     ("theta", lambda md, d, trace=None: md, _TRANSPORT),
     ("centrality_witness", lambda f, target, trace=None: None, _WITNESS),
     ("centrality_witness", lambda f, target, trace=None: f, _WITNESS),
+    # rows of the wrong shape, which the round trip would index into
+    ("reroot_all", lambda f: None, "rerooting bijective with round trips"),
+    ("reroot_all", lambda f: (f,), "rerooting bijective with round trips"),
 ]
 
 
@@ -163,3 +179,8 @@ def test_formulas_listing_check_keeps_to_its_budget(monkeypatch):
     assert report.passed
     assert listed == [f"closed forms match exhaustive listings, n={n}, g={g}"
                       for n, g in ((2, 0), (2, 1), (3, 0), (3, 1), (4, 0))]
+    # the one pair past the budget is named, by the DP check of that pair
+    assert [(c.label, c.detail) for c in report.checks if "skipped" in c.detail] == [(
+        "series formula, star DP and monotone double DP agree, n=4, g=1",
+        "5 classes; listing skipped: 420 records of the identity, over the budget of 30",
+    )]
