@@ -128,8 +128,12 @@ def _parse_factors(text: str) -> tuple[Transposition, ...]:
 _CAPS = {
     "DP counting": {"n": 6, "genus": 8},
     "listing": {"n": 5, "genus": 2},
-    # the star series formula slows steeply with the genus: 13 s at 400 on a 2-core x86-64
-    "formula route": {"genus": 400},
+    # each closed form's worst measured corner (Python 3.11, 2-core x86-64): the
+    # star series formula at 44 distinct parts summing to 1000, genus 100, 6.4 s
+    # (n = 100 at genus 200 takes 12 s; it slows with genus and distinct parts);
+    # the md closed form at [1000], genus 1000, 3.4 s (it slows with n(n + 2g))
+    "star formula route": {"n": 1000, "genus": 100},
+    "md formula route": {"n": 1000, "genus": 1000},
     "double Hurwitz enumeration": {"n": 7, "genus": 1},
     "group algebra": {"n": 6},
     "transitive evaluation": {"n": 5},
@@ -389,7 +393,7 @@ def _count_one(args, method: str, target: Permutation, lam: Partition | None,
         if formula is None:
             raise UsageError(f"no closed form for family {args.family}")
         shape = lam if lam is not None else target.cycle_type()
-        _check_bound(args, "formula route", genus=genus)
+        _check_bound(args, f"{args.family} formula route", n=shape.n, genus=genus)
         value = formula(shape, genus)
         if value is None:
             raise UsageError(f"no closed form for family {args.family} at class {shape}")

@@ -13,11 +13,11 @@ Four families are covered.
   arbitrary transpositions, landing in a second class, generating a
   transitive group (H3''); these are counted, not listed.
 
-Each record is a plain frozen class on :class:`~starfact.perms.Frozen`,
-written out by hand rather than with ``dataclasses``, whose import and
-class decoration were most of the time ``import starfact`` took: its
-``__init__`` stores the five fields and calls ``__post_init__``, and its
-equality, hash and ``repr`` read the tuple of those fields in order.
+Each record is a plain frozen class on :class:`~starfact.perms.Frozen`
+rather than a dataclass, whose import and class decoration were most of
+the time ``import starfact`` took: its ``__init__`` stores the five fields
+and calls ``__post_init__``, and ``Frozen`` derives its equality, hash
+and ``repr`` from the field names in ``_fields``.
 ``__post_init__`` validates the record once, in O(n + m) for m
 factors: the conditions read integer images and symbols, the cycle counts
 come from the cycle data each :class:`Permutation` computes once and
@@ -130,15 +130,6 @@ class StarFactorisation(Frozen):
         if _product(n, zip(legs, repeat(root))) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.n, self.root, self.legs, self.target, self.genus)
-                    == (other.n, other.root, other.legs, other.target, other.genus))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.root, self.legs, self.target, self.genus))
-
     @classmethod
     def from_legs(cls, n: int, root: int, legs, target: Permutation) -> "StarFactorisation":
         """Build a record, deriving the genus from the leg count."""
@@ -206,15 +197,6 @@ class MonotoneFactorisation(Frozen):
         if _product(n, factors) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.n, self.order, self.factors, self.target, self.genus)
-                    == (other.n, other.order, other.factors, other.target, other.genus))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.order, self.factors, self.target, self.genus))
-
     @classmethod
     def from_factors(cls, n, order, factors, target) -> "MonotoneFactorisation":
         factors = tuple(factors)
@@ -268,15 +250,6 @@ class MonotoneDoubleFactorisation(Frozen):
             last = b
         if _product(n, factors, self.sigma) != self.target.images:
             raise ConditionViolation("product", f"factors do not multiply to {self.target}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return ((self.n, self.sigma, self.factors, self.target, self.genus)
-                    == (other.n, other.sigma, other.factors, other.target, other.genus))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.sigma, self.factors, self.target, self.genus))
 
     @classmethod
     def from_factors(cls, n, sigma, factors, target) -> "MonotoneDoubleFactorisation":

@@ -19,7 +19,7 @@ import re
 from functools import lru_cache
 from itertools import permutations as _iter_permutations
 from math import factorial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 
 class DegreeMismatchError(ValueError):
@@ -30,17 +30,30 @@ class Frozen:
     """Base of the package's immutable values: assigning or deleting any
     attribute raises AttributeError.
 
-    A record subclass names its fields in ``_fields``, which ``repr`` lists
-    as ``Name(field=value, ...)``.  Its ``__init__`` stores each field in
-    the instance ``__dict__`` and then calls ``__post_init__``, which
-    validates the record, and its ``__eq__`` and ``__hash__`` compare and
-    hash the tuple of its fields, and only against its own class.  So a
-    record is built, compared and pickled as a frozen dataclass would be,
-    without the import and class-decoration cost of ``dataclasses``.
+    A record subclass names its fields in ``_fields`` and writes its own
+    ``__init__``, which stores each field in the instance ``__dict__`` and
+    then calls ``__post_init__`` to validate the record.  Equality, hash
+    and ``repr`` are defined here once and read ``_fields`` alone: two
+    records are equal when they share a class and their field values, the
+    hash is that of the values, and a dict field leaves a record
+    unhashable.  So a record is built, compared and pickled as a frozen
+    dataclass would be, without the cost of importing ``dataclasses``.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" in vars(cls):
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign {name!r}: a {type(self).__name__} is immutable")
@@ -76,14 +89,6 @@ class Partition(Frozen):
             raise ValueError(f"parts must be positive: {parts}")
         if list(parts) != sorted(parts, reverse=True):
             raise ValueError(f"parts must weakly decrease: {parts}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     @property
     def n(self) -> int:

@@ -72,14 +72,6 @@ class CheckResult(Frozen):
     def __init__(self, label: str, passed: bool, detail: str = "") -> None:
         self.__dict__.update(label=label, passed=passed, detail=detail)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.label, self.passed, self.detail) == (other.label, other.passed, other.detail)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.passed, self.detail))
-
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         tail = f"  ({self.detail})" if self.detail else ""
@@ -91,14 +83,6 @@ class SuiteReport(Frozen):
 
     def __init__(self, suite: str, checks: tuple[CheckResult, ...]) -> None:
         self.__dict__.update(suite=suite, checks=checks)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.suite, self.checks) == (other.suite, other.checks)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.suite, self.checks))
 
     @property
     def passed(self) -> bool:
@@ -185,8 +169,8 @@ def suite_theorem_1_1(n: int = 6) -> SuiteReport:
 
 def suite_theorem_1_4(n: int = 5, gmax: int = 2) -> SuiteReport:
     """Transitive star counts equal (full cycle, monotone tail) counts:
-    dynamic programming for every target, listing plus the explicit
-    bijection at the smaller bound."""
+    dynamic programming for every target, then listing plus the explicit
+    bijection only at n <= 4, g <= 1, whatever the bounds."""
     checks = []
     for nn in range(1, n + 1):
         for g in range(gmax + 1):
@@ -548,11 +532,6 @@ class SuiteSpec(Frozen):
     def __init__(self, name: str, runner: Callable[..., SuiteReport],
                  caps: dict | None = None) -> None:
         self.__dict__.update(name=name, runner=runner, caps={} if caps is None else caps)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.name, self.runner, self.caps) == (other.name, other.runner, other.caps)
-        return NotImplemented
 
     @property
     def defaults(self) -> dict:

@@ -99,13 +99,16 @@ class TestCount:
         )
 
     def test_formula_route_past_its_cap(self, capsys):
-        # the md closed form is fast at any genus; the star series formula is not
-        argv = ("count", "--family", "md", "--partition", "[3]", "--genus", "401",
-                "--method", "formula")
-        assert run(capsys, *argv)[0] == 2
-        code, out, err = run(capsys, *argv, "--unsafe-bounds")
+        # each family's closed form has its own caps: the md closed form runs
+        # past the star series formula's genus cap and stops at its own
+        argv = ("count", "--family", "md", "--partition", "[3]", "--method", "formula")
+        code, out, err = run(capsys, *argv, "--genus", "401")
         assert (code, err) == (0, "")
         assert out.endswith(f"method=formula count={(2**804 - 1) // 3}\n")
+        assert run(capsys, *argv, "--genus", "1001")[0] == 2
+        code, out, err = run(capsys, *argv, "--genus", "1001", "--unsafe-bounds")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"method=formula count={(2**2004 - 1) // 3}\n")
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python prints integers of any length")
@@ -783,18 +786,25 @@ CAP_CASES = [
      "listing", "n", 5, 6),
     (("count", "--family", "star", "--partition", "[3]", "--genus", "3",
       "--method", "listing"), "listing", "genus", 2, 3),
+    (("count", "--family", "star", "--partition", "[1001]", "--genus", "0",
+      "--method", "formula"), "star formula route", "n", 1000, 1001),
+    (("count", "--family", "star", "--partition", "[3]", "--genus", "101",
+      "--method", "formula"), "star formula route", "genus", 100, 101),
+    (("count", "--family", "md", "--partition", "[20000]", "--genus", "0",
+      "--method", "formula"), "md formula route", "n", 1000, 20000),
+    (("count", "--family", "md", "--partition", "[3]", "--genus", "1001",
+      "--method", "formula"), "md formula route", "genus", 1000, 1001),
     (("count", "--family", "dh", "--partition", "[8]", "--genus", "0"),
      "double Hurwitz enumeration", "n", 7, 8),
     (("count", "--family", "dh", "--partition", "[2,1]", "--genus", "2"),
      "double Hurwitz enumeration", "genus", 1, 2),
-    (("count", "--family", "star", "--partition", "[3]", "--genus", "401",
-      "--method", "formula"), "formula route", "genus", 400, 401),
     (("algebra", "--n", "7", "--expr", "e[1]"), "group algebra", "n", 6, 7),
     (("algebra", "--n", "6", "--expr", "T(p[2])"), "transitive evaluation", "n", 5, 6),
     (("table", "--nmax", "6"), "agreement table", "nmax", 5, 6),
     (("table", "--gmax", "3"), "agreement table", "gmax", 2, 3),
 ]
-CAP_IDS = ["dp-n", "dp-genus", "listing-n", "listing-genus", "formula-genus", "dh-n", "dh-genus",
+CAP_IDS = ["dp-n", "dp-genus", "listing-n", "listing-genus", "star-formula-n",
+           "star-formula-genus", "md-formula-n", "md-formula-genus", "dh-n", "dh-genus",
            "algebra-n", "transitive-n", "table-nmax", "table-gmax"]
 
 

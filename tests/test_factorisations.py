@@ -82,9 +82,10 @@ class TestStarRecord:
         # the kept tuple is no field: equality, hash, repr and pickling
         # see the same record before and after it is read
         g = StarFactorisation(3, 3, (1, 2, 1), perm("(1 2)(3)"), 0)
+        assert "factors" in vars(f) and "factors" not in vars(g)
         assert (f, hash(f), repr(f)) == (g, hash(g), repr(g))
         h = pickle.loads(pickle.dumps(f))
-        assert h == f and h.factors == f.factors
+        assert h == f == g and hash(h) == hash(g) and h.factors == f.factors
         assert copy.deepcopy(g) == g
         with pytest.raises(AttributeError):
             f.legs = (2, 1, 2)

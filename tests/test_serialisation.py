@@ -29,6 +29,7 @@ from starfact.factorisations import (
     enumerate_monotone_double,
     enumerate_star,
 )
+from starfact.perms import Frozen
 from starfact.verify import CheckResult, SuiteReport, SuiteSpec, suite_theorem_1_1
 
 
@@ -173,6 +174,19 @@ class TestRecordValues:
     def test_a_differing_field_breaks_equality(self):
         assert CheckResult("a", True) != CheckResult("a", True, "x")
         assert Partition((2, 1)) != Partition((3,))
+
+    def test_equality_and_hash_are_defined_once(self):
+        # every record takes __eq__ and __hash__ from Frozen, which reads _fields
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        records = [cls for cls in subclasses(Frozen) if "_fields" in vars(cls)]
+        assert {cls.__name__ for cls in records} == {
+            type(positional()).__name__ for positional, _, _ in RECORDS.values()}
+        for cls in records:
+            assert not {"__eq__", "__hash__"} & set(vars(cls)), cls.__name__
 
 
 class TestInputHelpers:
