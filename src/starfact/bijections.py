@@ -36,7 +36,8 @@ Every function takes an optional ``trace`` list and appends one
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .perms import (
     Permutation,
@@ -52,17 +53,15 @@ from .factorisations import (
 )
 
 
-class TraceStep(NamedTuple):
-    """One elementary move on the adjacent pair at 1-based position ``pos``.
+class TraceStep(namedtuple("TraceStep", "pos move before after")):
+    """One elementary move on the adjacent pair at 1-based position ``pos``,
+    from the factor pair ``before`` to the pair ``after``.
 
     ``move`` is "RHM", "LHM", or "S2"; the last marks right-hand moves made
     by an order-swap's second stage, which the inverse must undo separately.
     """
 
-    pos: int
-    move: str
-    before: tuple[Transposition, Transposition]
-    after: tuple[Transposition, Transposition]
+    __slots__ = ()
 
     def __str__(self) -> str:
         b1, b2 = self.before

@@ -9,7 +9,6 @@ success, 1 when a verification fails, 2 for usage or bounds errors.
 from __future__ import annotations
 
 import argparse
-import json
 import operator
 import os
 import re
@@ -327,6 +326,8 @@ def _value(node, n: int, inside_t: bool = False) -> SymExpr | AlgebraElement:
 
 def _emit(args, command: str, config: dict, results, passed: bool, text_lines) -> None:
     if args.format == "json":
+        import json  # only JSON output pays for it
+
         payload = {
             "command": command,
             "config": config,

@@ -85,13 +85,22 @@ def _product(n: int, pairs, first: Permutation | None = None) -> tuple[int, ...]
     return tuple(images)
 
 
-def _genus(condition: str, what: str, length: int, base: int, formula: str) -> int:
-    """The genus g with ``length == base + 2g``, where ``formula`` spells out
-    ``base``; a length with no such g violates ``condition``."""
+def _at_derived_genus(build, condition: str, what: str, length: int, base: int,
+                      formula: str):
+    """``build(g)`` at the genus g with ``length == base + 2g``, where
+    ``formula`` spells out ``base``.  A length with no such g is built at
+    genus -1, which its length check ``condition`` always refuses, so any
+    check the constructor makes first reports first; that refusal is then
+    reworded as the length having no genus."""
     twice_g = length - base
-    if twice_g < 0 or twice_g % 2:
-        raise ConditionViolation(condition, f"{what} {length} has no genus: {formula} + 2g")
-    return twice_g // 2
+    if twice_g >= 0 and twice_g % 2 == 0:
+        return build(twice_g // 2)
+    try:
+        build(-1)
+    except ConditionViolation as exc:
+        if exc.condition != condition:
+            raise
+    raise ConditionViolation(condition, f"{what} {length} has no genus: {formula} + 2g")
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +144,8 @@ class StarFactorisation(Frozen):
         """Build a record, deriving the genus from the leg count."""
         legs = tuple(legs)
         c = target.cycle_count
-        try:
-            genus = _genus("S1", "length", len(legs), n + c - 2, f"{n} + {c} - 2")
-        except ConditionViolation:
-            # the constructor reports coverage before the length condition,
-            # so a length with no genus may not jump the queue
-            missing = set(range(1, n + 1)) - {root} - set(legs)
-            if missing and all(1 <= a <= n and a != root for a in legs):
-                t = Transposition(min(missing), root)
-                raise ConditionViolation("S2'", f"{t} never appears") from None
-            raise
-        return cls(n, root, legs, target, genus)
+        return _at_derived_genus(lambda g: cls(n, root, legs, target, g),
+                                 "S1", "length", len(legs), n + c - 2, f"{n} + {c} - 2")
 
     @cached_property
     def factors(self) -> tuple[Transposition, ...]:
@@ -199,10 +199,11 @@ class MonotoneFactorisation(Frozen):
 
     @classmethod
     def from_factors(cls, n, order, factors, target) -> "MonotoneFactorisation":
+        """Build a record, deriving the genus from the length."""
         factors = tuple(factors)
         c = target.cycle_count
-        return cls(n, order, factors, target,
-                   _genus("H1", "length", len(factors), n - c, f"{n} - {c}"))
+        return _at_derived_genus(lambda g: cls(n, order, factors, target, g),
+                                 "H1", "length", len(factors), n - c, f"{n} - {c}")
 
     def to_line(self) -> str:
         return "".join(str(t) for t in self.factors)
@@ -256,8 +257,8 @@ class MonotoneDoubleFactorisation(Frozen):
         """Build a record, deriving the genus from the tail length."""
         factors = tuple(factors)
         c = target.cycle_count
-        return cls(n, sigma, factors, target,
-                   _genus("H1", "tail length", len(factors), c - 1, f"{c} - 1"))
+        return _at_derived_genus(lambda g: cls(n, sigma, factors, target, g),
+                                 "H1", "tail length", len(factors), c - 1, f"{c} - 1")
 
     def to_line(self) -> str:
         return str(self.sigma) + "".join(str(t) for t in self.factors)

@@ -2,17 +2,19 @@
 
 The route modules each compute on their own; every comparison between
 routes, the suites and the rows of the agreement table, is made here.
-Each suite runs exact checks at caller-supplied bounds and returns a
-structured report; nothing is sampled, every check is either an
-exhaustive loop or an exact closed-form comparison.  The command line
-front end exposes these under fixed suite ids.
+Each suite is a generator that yields its exact checks, in order, at
+caller-supplied bounds; nothing is sampled, every check is either an
+exhaustive loop or an exact closed-form comparison.  ``run_suite`` alone
+collects the checks into a report named by the suite's id in ``SUITES``,
+and refuses bounds that leave no checks.  The command line front end
+exposes the suites under those ids.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from functools import lru_cache
 from math import factorial
-from typing import Callable
 
 from .algebra import (
     AlgebraElement,
@@ -151,27 +153,28 @@ def _bijective(sources, images, codomain, inverse=None) -> bool:
 # suites
 
 
-def suite_theorem_1_1(n: int = 6) -> SuiteReport:
+def suite_theorem_1_1(n: int = 6) -> Iterator[CheckResult]:
     """Elementary polynomials in the slot elements expand to class sums by
     cycle-count deficit, exhaustively over the group algebra."""
-    checks = []
     for nn in range(1, n + 1):
         strata = [AlgebraElement.zero(nn)] * (nn + 1)  # class sums by cycle count
         for lam in partitions_of(nn):
             strata[lam.length] += class_sum(nn, lam)
         ok = all(evaluate(e(k), nn) == strata[nn - k] for k in range(nn + 1))
-        checks.append(
-            CheckResult(f"elementary slot polynomials equal class-sum strata, n={nn}", ok,
-                        f"k = 0..{nn}")
-        )
-    return SuiteReport("theorem-1.1", tuple(checks))
+        yield CheckResult(f"elementary slot polynomials equal class-sum strata, n={nn}", ok,
+                          f"k = 0..{nn}")
 
 
-def suite_theorem_1_4(n: int = 5, gmax: int = 2) -> SuiteReport:
+# theorem-1.4 lists both families and maps them only up to this (n, g)
+_BIJECTION_LISTING_BOUND = (4, 1)
+
+
+def suite_theorem_1_4(n: int = 5, gmax: int = 2) -> Iterator[CheckResult]:
     """Transitive star counts equal (full cycle, monotone tail) counts:
     dynamic programming for every target, then listing plus the explicit
-    bijection only at n <= 4, g <= 1, whatever the bounds."""
-    checks = []
+    bijection only at n <= 4, g <= 1, whatever the bounds.  The DP check
+    of each (n, g) past that bound says that its listing was skipped."""
+    list_n, list_g = _BIJECTION_LISTING_BOUND
     for nn in range(1, n + 1):
         for g in range(gmax + 1):
             bad = 0
@@ -180,17 +183,14 @@ def suite_theorem_1_4(n: int = 5, gmax: int = 2) -> SuiteReport:
                 total += 1
                 if count_star(w, g, nn) != count_monotone_double(w, g):
                     bad += 1
-            checks.append(
-                CheckResult(
-                    f"star count equals monotone double count, n={nn}, g={g}",
-                    bad == 0,
-                    f"{total} targets via DP",
-                )
+            detail = f"{total} targets via DP"
+            if nn > list_n or g > list_g:
+                detail += f"; listing skipped: past n <= {list_n}, g <= {list_g}"
+            yield CheckResult(
+                f"star count equals monotone double count, n={nn}, g={g}", bad == 0, detail
             )
-    list_n = min(n, 4)
-    list_g = min(gmax, 1)
-    for nn in range(1, list_n + 1):
-        for g in range(list_g + 1):
+    for nn in range(1, min(n, list_n) + 1):
+        for g in range(min(gmax, list_g) + 1):
             ok = True
             pairs = 0
             for w in symmetric_group(nn):
@@ -201,14 +201,11 @@ def suite_theorem_1_4(n: int = 5, gmax: int = 2) -> SuiteReport:
                     ok = False
                     break
                 pairs += len(stars)
-            checks.append(
-                CheckResult(
-                    f"explicit bijection matches listings, n={nn}, g={g}",
-                    ok,
-                    f"{pairs} factorisations",
-                )
+            yield CheckResult(
+                f"explicit bijection matches listings, n={nn}, g={g}",
+                ok,
+                f"{pairs} factorisations",
             )
-    return SuiteReport("theorem-1.4", tuple(checks))
 
 
 def power_sums_in_e(kmax: int) -> list[SymExpr]:
@@ -223,11 +220,10 @@ def power_sums_in_e(kmax: int) -> list[SymExpr]:
     return sums
 
 
-def suite_theorem_1_7(n: int = 5, wmax: int = 5) -> SuiteReport:
+def suite_theorem_1_7(n: int = 5, wmax: int = 5) -> Iterator[CheckResult]:
     """The transitive part of any elementary/homogeneous/power-sum value
     at the slot elements is central, and the same for a power sum written
     in either basis."""
-    checks = []
     bases = (("e", e), ("h", h), ("p", p))
     via_e = power_sums_in_e(wmax)
     for nn in range(2, n + 1):
@@ -240,29 +236,23 @@ def suite_theorem_1_7(n: int = 5, wmax: int = 5) -> SuiteReport:
                     el = transitive_evaluate(basis(*lam.parts), nn)
                     if not el.is_central():
                         bad.append((name, lam))
-            checks.append(
-                CheckResult(
-                    f"transitive part of {name}-basis values is central, n={nn}",
-                    not bad,
-                    f"{count} partitions of weight <= {wmax}",
-                )
+            yield CheckResult(
+                f"transitive part of {name}-basis values is central, n={nn}",
+                not bad,
+                f"{count} partitions of weight <= {wmax}",
             )
-        checks.append(
-            CheckResult(
-                f"transitive power sums agree with their e-basis forms, n={nn}",
-                all(transitive_evaluate(p(k), nn) == transitive_evaluate(p_k, nn)
-                    for k, p_k in enumerate(via_e, 1)),
-                f"k = 1..{wmax}",
-            )
+        yield CheckResult(
+            f"transitive power sums agree with their e-basis forms, n={nn}",
+            all(transitive_evaluate(p(k), nn) == transitive_evaluate(p_k, nn)
+                for k, p_k in enumerate(via_e, 1)),
+            f"k = 1..{wmax}",
         )
-    return SuiteReport("theorem-1.7", tuple(checks))
 
 
-def suite_corollary_1_6(n: int = 5, kmax: int = 3) -> SuiteReport:
+def suite_corollary_1_6(n: int = 5, kmax: int = 3) -> Iterator[CheckResult]:
     """Four routes to the transitive top-slot power agree: the J-power
     form, the power-sum form, and the closed form both symbolically and
     as explicit products."""
-    checks = []
     for nn in range(2, n + 1):
         chain = AlgebraElement.one(nn)
         for j in range(2, nn + 1):
@@ -271,10 +261,7 @@ def suite_corollary_1_6(n: int = 5, kmax: int = 3) -> SuiteReport:
             degree = nn - 1 + k
             ok = (transitive_power(nn, degree) == transitive_evaluate(p(degree), nn)
                   == evaluate(e(nn - 1) * h(k), nn) == chain * evaluate(h(k), nn))
-            checks.append(
-                CheckResult(f"transitive power routes agree, n={nn}, k={k}", ok)
-            )
-    return SuiteReport("corollary-1.6", tuple(checks))
+            yield CheckResult(f"transitive power routes agree, n={nn}, k={k}", ok)
 
 
 def _recurrence_target(i: int, alpha: Partition) -> Permutation:
@@ -290,12 +277,10 @@ def _recurrence_target(i: int, alpha: Partition) -> Permutation:
     return Permutation.from_cycles(n, cycles)
 
 
-def suite_recurrence_2_1(n: int = 6, gmax: int = 2) -> SuiteReport:
+def suite_recurrence_2_1(n: int = 6, gmax: int = 2) -> Iterator[CheckResult]:
     """The join-cut recurrence reproduces every DP star count."""
-    checks = [
-        CheckResult("initial condition a_0(1, []) = 1",
-                    recurrence_star(1, Partition(()), 0) == 1)
-    ]
+    yield CheckResult("initial condition a_0(1, []) = 1",
+                      recurrence_star(1, Partition(()), 0) == 1)
     for total in range(1, n + 1):
         for g in range(gmax + 1):
             bad = 0
@@ -306,14 +291,11 @@ def suite_recurrence_2_1(n: int = 6, gmax: int = 2) -> SuiteReport:
                     w = _recurrence_target(i, alpha)
                     if recurrence_star(i, alpha, g) != count_star(w, g, total):
                         bad += 1
-            checks.append(
-                CheckResult(
-                    f"recurrence equals DP star counts, i+|alpha|={total}, g={g}",
-                    bad == 0,
-                    f"{keys} keys",
-                )
+            yield CheckResult(
+                f"recurrence equals DP star counts, i+|alpha|={total}, g={g}",
+                bad == 0,
+                f"{keys} keys",
             )
-    return SuiteReport("recurrence-2.1", tuple(checks))
 
 
 # listing budget: (n, g) is listed only while the identity has at most this
@@ -324,12 +306,11 @@ def suite_recurrence_2_1(n: int = 6, gmax: int = 2) -> SuiteReport:
 _LISTING_RECORD_CAP = 300_000
 
 
-def suite_formulas_6_2(n: int = 5, gmax: int = 2) -> SuiteReport:
+def suite_formulas_6_2(n: int = 5, gmax: int = 2) -> Iterator[CheckResult]:
     """The series formula and both closed forms agree with DP counts, and
     with exhaustive listings within the listing budget; every division
     involved is exact.  The DP check of each (n, g) past the budget names
     the listing it skipped."""
-    checks = []
     listed = []
     for nn in range(1, n + 1):
         for g in range(gmax + 1):
@@ -342,12 +323,10 @@ def suite_formulas_6_2(n: int = 5, gmax: int = 2) -> SuiteReport:
                                f" over the budget of {_LISTING_RECORD_CAP}")
                 else:
                     listed.append((nn, g))
-            checks.append(
-                CheckResult(
-                    f"series formula, star DP and monotone double DP agree, n={nn}, g={g}",
-                    bad == 0,
-                    detail,
-                )
+            yield CheckResult(
+                f"series formula, star DP and monotone double DP agree, n={nn}, g={g}",
+                bad == 0,
+                detail,
             )
     for nn, g in listed:
         cyc = class_representative(Partition((nn,)))
@@ -356,17 +335,11 @@ def suite_formulas_6_2(n: int = 5, gmax: int = 2) -> SuiteReport:
             md_full_cycle(nn, g) == len(enumerate_monotone_double(cyc, g))
             and md_identity(nn, g) == len(enumerate_monotone_double(ident, g))
         )
-        checks.append(
-            CheckResult(
-                f"closed forms match exhaustive listings, n={nn}, g={g}", ok
-            )
-        )
-    return SuiteReport("formulas-6.2", tuple(checks))
+        yield CheckResult(f"closed forms match exhaustive listings, n={nn}, g={g}", ok)
 
 
-def suite_recurrence_6_3(n: int = 5, gmax: int = 3) -> SuiteReport:
+def suite_recurrence_6_3(n: int = 5, gmax: int = 3) -> Iterator[CheckResult]:
     """Three-term recurrence for identity-target monotone double counts."""
-    checks = []
     for nn in range(2, n + 1):
         # n md_g(id_n) = n (n-1)^2 md_(g-1)(id_n) + 2 (n-1)(2n-3) md_g(id_(n-1)),
         # with the g-1 term read as zero at g = 0
@@ -376,12 +349,7 @@ def suite_recurrence_6_3(n: int = 5, gmax: int = 3) -> SuiteReport:
             + 2 * (nn - 1) * (2 * nn - 3) * md_identity(nn - 1, g)
             for g in range(gmax + 1)
         )
-        checks.append(
-            CheckResult(
-                f"identity-count recurrence holds, n={nn}", ok, f"g = 0..{gmax}"
-            )
-        )
-    return SuiteReport("recurrence-6.3", tuple(checks))
+        yield CheckResult(f"identity-count recurrence holds, n={nn}", ok, f"g = 0..{gmax}")
 
 
 # genus budget per |alpha|, from measured cost (Python 3.11, 2-core x86-64):
@@ -390,12 +358,11 @@ def suite_recurrence_6_3(n: int = 5, gmax: int = 3) -> SuiteReport:
 _RELATION_GENUS_CAP = {2: 2, 3: 2, 4: 1, 5: 0}
 
 
-def suite_relation_6_4(n: int = 4) -> SuiteReport:
+def suite_relation_6_4(n: int = 4) -> Iterator[CheckResult]:
     """Star counts against normalised transitive double Hurwitz counts of
     the padded class, by exhaustive enumeration in the doubled group: for
     alpha of size s, b(alpha + 1^(s-1)) = s! (2s-1)^(s+l(alpha)+2g-3) times
     the transitive star count of alpha."""
-    checks = []
     for size in range(2, n + 1):
         gcap = _RELATION_GENUS_CAP.get(size, 0)
         big = 2 * size - 1
@@ -404,14 +371,11 @@ def suite_relation_6_4(n: int = 4) -> SuiteReport:
             rep = class_representative(alpha)
             for g in range(gcap + 1):
                 scale = factorial(size) * big ** (size + alpha.length + 2 * g - 3)
-                checks.append(
-                    CheckResult(
-                        f"padded double Hurwitz relation, alpha={alpha}, g={g}",
-                        b_number(big, padded, g) == scale * count_star(rep, g, size),
-                        f"exhaustive in S_{big}",
-                    )
+                yield CheckResult(
+                    f"padded double Hurwitz relation, alpha={alpha}, g={g}",
+                    b_number(big, padded, g) == scale * count_star(rep, g, size),
+                    f"exhaustive in S_{big}",
                 )
-    return SuiteReport("relation-6.4", tuple(checks))
 
 
 def _traced(fn, sources) -> tuple[list, bool, int]:
@@ -430,18 +394,15 @@ def _traced(fn, sources) -> tuple[list, bool, int]:
     return images, ok, moves
 
 
-def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
+def suite_bijections(n: int = 4, gmax: int = 1) -> Iterator[CheckResult]:
     """Round trips, image checks and product preservation for every
     constructive map, exhausting all factorisations at the given bounds."""
-    checks = []
     for nn in range(2, n + 1):
         panel = order_panel(nn)
         natural = TotalOrder.natural(nn)
         roots = range(1, nn + 1)
         for g in range(gmax + 1):
-            def report(label: str, ok: bool, detail: str = "") -> None:
-                checks.append(CheckResult(f"{label}, n={nn}, g={g}", ok, detail))
-
+            at = f", n={nn}, g={g}"
             # each domain and codomain is listed once per (n, g)
             monotone = lru_cache(maxsize=None)(lambda w, order: enumerate_monotone(w, g, order))
             mds = lru_cache(maxsize=None)(lambda w: enumerate_monotone_double(w, g))
@@ -457,11 +418,11 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
                         moved += moves
                         ok &= steps_ok and _bijective(source, image, monotone(w, order.swapped(j)),
                                                       lambda im: lambda_j_inverse(im, j))
-            report("adjacent-swap rewrite bijective with exact round trips", ok,
-                   f"{moved} local moves checked")
+            yield CheckResult(f"adjacent-swap rewrite bijective with exact round trips{at}", ok,
+                              f"{moved} local moves checked")
 
             # full order rewrite to natural and back
-            report("order rewrite to natural is bijective per order", all(
+            yield CheckResult(f"order rewrite to natural is bijective per order{at}", all(
                 _bijective(monotone(w, order), [lambda_order(f) for f in monotone(w, order)],
                            monotone(w, natural), lambda im: lambda_order_inverse(im, order))
                 for w in symmetric_group(nn) for order in panel
@@ -477,8 +438,8 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
                     ok &= (steps_ok and all(reroot(f, root) == f for f in rooted)
                            and _bijective(rooted, image, mds(w),
                                           gamma_inverse if root == nn else None))
-            report("star to monotone double bijective from every root", ok,
-                   f"{count} star factorisations")
+            yield CheckResult(f"star to monotone double bijective from every root{at}", ok,
+                              f"{count} star factorisations")
 
             # rerooting is a bijection between root classes; a round trip
             # reads the image's own rerootings, so every row of them must
@@ -496,7 +457,7 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
                                lambda im: by_record[r2][im][r - 1])
                     for r in roots for r2 in roots
                 )
-            report("rerooting bijective with round trips", ok)
+            yield CheckResult(f"rerooting bijective with round trips{at}", ok)
 
             # conjugation transport on monotone and monotone double forms
             ok = True
@@ -507,16 +468,15 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> SuiteReport:
                     ok &= (_bijective(source, [delta(f, d) for f in source],
                                       monotone(relabelled, natural))
                            and _bijective(mds(w), [theta(f, d) for f in mds(w)], mds(relabelled)))
-            report("conjugation transport bijective for every conjugator", ok)
+            yield CheckResult(f"conjugation transport bijective for every conjugator{at}", ok)
 
             # centrality witness: same count at every member of the class
-            report("class transport witnesses equal counts", all(
+            yield CheckResult(f"class transport witnesses equal counts{at}", all(
                 _bijective(stars(members[0], nn),
                            [centrality_witness(f, other) for f in stars(members[0], nn)],
                            stars(other, nn))
                 for members in conjugacy_classes(nn).values() for other in members
             ))
-    return SuiteReport("bijections", tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +489,7 @@ class SuiteSpec(Frozen):
 
     _fields = ("name", "runner", "caps")
 
-    def __init__(self, name: str, runner: Callable[..., SuiteReport],
+    def __init__(self, name: str, runner: Callable[..., Iterator[CheckResult]],
                  caps: dict | None = None) -> None:
         self.__dict__.update(name=name, runner=runner, caps={} if caps is None else caps)
 
@@ -615,8 +575,8 @@ def run_suite(name: str, **overrides) -> SuiteReport:
         if value < least:
             raise ValueError(f"{key} must be at least {least} (got {value})")
         params[key] = value
-    report = spec.runner(**params)
-    if not report.checks:
+    checks = tuple(spec.runner(**params))
+    if not checks:
         bounds = ", ".join(f"{key}={value}" for key, value in params.items())
         raise ValueError(f"suite {name} has no checks at {bounds}")
-    return report
+    return SuiteReport(name, checks)

@@ -22,7 +22,7 @@ from starfact.algebra import (
     p,
     transitive_evaluate,
 )
-from starfact.verify import CheckResult, SuiteReport, SuiteSpec, SUITES
+from starfact.verify import CheckResult, SuiteSpec, SUITES
 
 
 # trace: a valid start of each input kind, a value for every map-specific flag,
@@ -331,8 +331,9 @@ class TestTrace:
             capsys, "trace", "--map", "gamma-inverse", "--n", "3",
             "--sigma", "(1 2)", "--tail", "(1 2)",
         )
+        # the sigma is not a full cycle, which the record checks before the tail
         assert code == 2 and out == ""
-        assert err == "condition H1 violated: tail length 1 has no genus: 3 - 1 + 2g\n"
+        assert err == "condition H0 violated: (1 2)(3) is not a full cycle\n"
 
     def test_stated_target_must_match_the_product(self, capsys):
         code, out, err = run(
@@ -693,7 +694,7 @@ class TestVerify:
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
         def doomed():
-            return SuiteReport("always-fails", [CheckResult("doomed", False, "by design")])
+            yield CheckResult("doomed", False, "by design")
 
         monkeypatch.setitem(
             SUITES,

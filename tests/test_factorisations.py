@@ -405,10 +405,10 @@ class TestMonotoneDouble:
         assert f == enumerate_monotone_double(perm("(1 3 2)"), 1)[0]
 
     def test_from_factors_rejects_a_tail_with_no_genus(self):
-        # the tail condition is checked before the full-cycle condition
+        # a full cycle, so that the tail length is the first condition broken
         with pytest.raises(ConditionViolation) as exc:
             MonotoneDoubleFactorisation.from_factors(
-                3, perm("(1 2)(3)"), (Transposition(1, 2),), Permutation.identity(3)
+                3, perm("(1 2 3)"), (Transposition(1, 2),), Permutation.identity(3)
             )
         assert str(exc.value) == "condition H1 violated: tail length 1 has no genus: 3 - 1 + 2g"
 
@@ -649,6 +649,10 @@ RECORD_CHECKS = [
     ("star S2' before S1", 'StarFactorisation(3, 3, (1, 1, 1, 1, 1), perm("(1 2)(3)"), 0)', 'ConditionViolation', "condition S2' violated: (2 3) never appears"),
     ('star from_legs root range', 'StarFactorisation.from_legs(3, 4, (1, 2, 1), perm("(1 2)(3)"))', 'ValueError', 'root 4 outside [3]'),
     ("star from_legs S2' before S1", 'StarFactorisation.from_legs(3, 3, (1, 1, 1, 1), perm("(1 2)(3)"))', 'ConditionViolation', "condition S2' violated: (2 3) never appears"),
+    ('star from_legs root range before S1', 'StarFactorisation.from_legs(3, 4, (1, 2, 1, 1), perm("(1 2)(3)"))', 'ValueError', 'root 4 outside [3]'),
+    ('monotone from_factors H2 before H1', 'MonotoneFactorisation.from_factors(3, TotalOrder.natural(3), (T(1, 3), T(1, 2)), perm("(1 2)", 3))', 'ConditionViolation', 'condition H2 violated: larger symbols not weakly increasing under 1<2<3'),
+    ('monotone from_factors symbol range before H1', 'MonotoneFactorisation.from_factors(3, TotalOrder.natural(3), (T(1, 5), T(1, 2)), perm("(1 2)", 3))', 'ValueError', 'factor symbol outside [3]'),
+    ('md from_factors H0 before H1', 'MonotoneDoubleFactorisation.from_factors(3, perm("(1 2)(3)"), (T(1, 2),), perm("(1)(2)(3)"))', 'ConditionViolation', 'condition H0 violated: (1 2)(3) is not a full cycle'),
     ('star S1 before product', 'StarFactorisation(3, 3, (1, 2, 2, 1), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition S1 violated: length 4 != 3 + 2 - 2 + 2*0'),
     ('monotone symbol range before H2', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 3), T(1, 2), T(1, 4)), perm("(1 2)(3)"), 0)', 'ValueError', 'factor symbol outside [3]'),
     ('monotone H2 before H1', 'MonotoneFactorisation(3, TotalOrder.natural(3), (T(1, 3), T(1, 2), T(1, 2)), perm("(1 2)(3)"), 0)', 'ConditionViolation', 'condition H2 violated: larger symbols not weakly increasing under 1<2<3'),

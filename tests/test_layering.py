@@ -106,13 +106,24 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def test_import_path_is_light():
-    # measured against the modules the interpreter (with site) had loaded
-    # before the import, since site may preload some on its own
+def _loaded_by_import(*flags: str) -> set[str]:
+    """The modules ``import starfact.cli`` adds in a fresh interpreter run
+    with ``flags``, against those loaded before it, since site may preload
+    some on its own."""
     code = ("import sys; before = set(sys.modules); import starfact.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    loaded = subprocess.run([sys.executable, *flags, "-c", code],
+                            env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, check=True).stdout.split()
     assert "starfact.cli" in loaded
-    assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(loaded)
+    return set(loaded)
+
+
+def test_import_path_is_light():
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "json"} & _loaded_by_import()
+
+
+def test_import_path_is_light_without_site():
+    # site preloads typing on some hosts, which would hide it above
+    assert "typing" not in _loaded_by_import("-S")

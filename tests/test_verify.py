@@ -1,17 +1,21 @@
 """Suite registry plumbing; the suites' mathematics runs in test_acceptance."""
 
+from inspect import isgeneratorfunction
 from pathlib import Path
 
 import pytest
 
 from starfact.algebra import p
 from starfact.verify import (
+    BOUND_FLOORS,
     CheckResult,
     SUITES,
     SuiteReport,
+    SuiteSpec,
     order_panel,
     power_sums_in_e,
     run_suite,
+    suite_theorem_1_1,
 )
 
 
@@ -123,6 +127,24 @@ class TestRegistry:
         assert all(c.passed for c in report.checks)
 
 
+class TestSuiteProtocol:
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_every_runner_yields_checks(self, name):
+        # at its floors, with n raised to 2 so that every suite has a check
+        runner = SUITES[name].runner
+        bounds = {key: BOUND_FLOORS.get(key, 0) for key in SUITES[name].defaults}
+        bounds["n"] = max(bounds["n"], 2)
+        assert isgeneratorfunction(runner)
+        checks = list(runner(**bounds))
+        assert checks and all(type(c) is CheckResult for c in checks)
+
+    def test_report_is_named_by_its_registry_key(self, monkeypatch):
+        monkeypatch.setitem(SUITES, "renamed", SuiteSpec("renamed", suite_theorem_1_1, {"n": 7}))
+        report = run_suite("renamed", n=2)
+        assert report == SuiteReport("renamed", run_suite("theorem-1.1", n=2).checks)
+        assert report.lines()[-1] == "suite renamed: PASS (2/2 checks)"
+
+
 # each map the bijections suite calls, replaced by a wrong map of the same
 # signature, with the one check that map belongs to
 _GAMMA = "star to monotone double bijective from every root"
@@ -184,3 +206,17 @@ def test_formulas_listing_check_keeps_to_its_budget(monkeypatch):
         "series formula, star DP and monotone double DP agree, n=4, g=1",
         "5 classes; listing skipped: 420 records of the identity, over the budget of 30",
     )]
+
+
+def test_theorem_1_4_names_the_listings_it_skips(monkeypatch):
+    monkeypatch.setattr("starfact.verify._BIJECTION_LISTING_BOUND", (2, 0))
+    report = run_suite("theorem-1.4", n=3, gmax=1)
+    listed = [c.label for c in report.checks if c.label.startswith("explicit bijection")]
+    assert report.passed
+    assert listed == [f"explicit bijection matches listings, n={n}, g=0" for n in (1, 2)]
+    # every DP check past the bound says so, and only those
+    assert [(c.label, c.detail) for c in report.checks if "skipped" in c.detail] == [
+        (f"star count equals monotone double count, n={n}, g={g}",
+         f"{targets} targets via DP; listing skipped: past n <= 2, g <= 0")
+        for n, targets in ((1, 1), (2, 2), (3, 6)) for g in (0, 1) if n > 2 or g > 0
+    ]
