@@ -22,13 +22,20 @@ Built from these:
 The maps share one rewrite core on plain lists of factors and plain order
 sequences: ``_swap`` and ``_unswap`` (one adjacent order swap and its
 inverse), ``_to_natural`` and ``_from_natural`` (swaps composed along
-``sort_swaps`` of an order sequence), ``_cycle_form`` and ``_star_legs``
-(star legs to and from the cycle form) and ``_transport`` (conjugation).
-No record or order value is built inside the core; each public map builds
-and validates the one record it returns, at the end.  Along a bubble sort
-the core keeps each factor's larger symbol in one list of ints, and skips
-the idle steps: a swap whose (j+1)-st order symbol is the larger symbol of
-no factor moves nothing and records no step, so only the order changes.
+``sort_swaps`` of an order sequence, whose rank list ``_ranks`` keeps),
+``_cycle_form`` and ``_star_legs`` (star legs to and from the cycle form,
+with the star factors of each (n, root) from one table) and
+``transport`` (conjugation).  ``transport(d)`` computes d^{-1}'s images,
+its relabelling of every transposition and the bubble sort of its order
+once, and returns a function that moves any number of plain
+(images, tail) pairs.  No record or order value is built inside the core;
+each public map builds and validates the one record it returns, at the
+end.  The ``bijections`` suite of ``verify`` runs the transport check on
+the plain keys alone, comparing them with the keys of validated listings.
+Along a bubble sort the core keeps each factor's larger symbol in one list
+of ints, and skips the idle steps: a swap whose (j+1)-st order symbol is
+the larger symbol of no factor moves nothing and records no step, so only
+the order changes.
 
 Every function takes an optional ``trace`` list and appends one
 :class:`TraceStep` per elementary move, so each rewrite is replayable.
@@ -38,11 +45,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 from .perms import (
     Permutation,
     TotalOrder,
     Transposition,
+    all_transpositions,
     conjugating_permutation,
     sort_swaps,
 )
@@ -98,12 +107,16 @@ def lhm(pair: tuple[Transposition, Transposition]) -> tuple[Transposition, Trans
 
 
 def _apply(facs: list, k: int, move: str, trace: list | None) -> None:
-    before = (facs[k], facs[k + 1])
-    after = lhm(before) if move == "LHM" else rhm(before)
-    facs[k], facs[k + 1] = after
+    """The one place a move happens: :func:`lhm` or :func:`rhm` on the pair
+    at 0-based position ``k``, in place."""
+    t, u = facs[k], facs[k + 1]
+    if move == "LHM":
+        facs[k], facs[k + 1] = u, _through(t, u)
+    else:
+        facs[k], facs[k + 1] = _through(u, t), t
     if trace is not None:
         # tuple.__new__ skips the namedtuple's Python-level constructor
-        trace.append(tuple.__new__(TraceStep, (k + 1, move, before, after)))
+        trace.append(tuple.__new__(TraceStep, (k + 1, move, (t, u), (facs[k], facs[k + 1]))))
 
 
 def replay(factors: Sequence[Transposition], steps: Iterable[TraceStep]) -> tuple[Transposition, ...]:
@@ -176,31 +189,48 @@ def _unswap(facs: list, big: list[int], seq: list[int], j: int, trace: list | No
             k -= 1
 
 
-def _order_lists(sequence, facs: list) -> tuple[list[int], list[int]]:
-    """The order ``sequence`` as a list, and the larger symbol of each factor under it."""
+# Order sequences whose rank lists ``_ranks`` keeps: all of S_6's fit.
+_RANKS_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_RANKS_CACHE_SIZE)
+def _ranks(sequence: tuple[int, ...]) -> tuple[int, ...]:
+    """The rank of each symbol under the order ``sequence``, indexed by the
+    symbol (index 0 unused)."""
     rank = [0] * (len(sequence) + 1)
     for r, s in enumerate(sequence, 1):
         rank[s] = r
-    return list(sequence), [b if rank[a] < rank[b] else a for a, b in facs]
+    return tuple(rank)
 
 
-def _to_natural(facs: list, sequence: tuple[int, ...], trace: list | None) -> None:
-    """Rewrite ``facs`` from monotone for the order ``sequence`` to
-    natural-monotone by one :func:`_swap` per step of its bubble sort that
-    is not idle."""
-    seq, big = _order_lists(sequence, facs)
-    for j in sort_swaps(sequence):
+def _bigs(facs, rank) -> list[int]:
+    """The larger symbol of each factor under the order with ranks ``rank``."""
+    return [b if rank[a] < rank[b] else a for a, b in facs]
+
+
+def _bubble(facs: list, sequence, rank, swaps, trace: list | None) -> None:
+    """Rewrite ``facs`` from monotone for the order ``sequence``, whose ranks
+    and bubble sort are ``rank`` and ``swaps``, to natural-monotone by one
+    :func:`_swap` per step of the sort that is not idle."""
+    seq, big = list(sequence), _bigs(facs, rank)
+    for j in swaps:
         if seq[j] in big:
             _swap(facs, big, seq, j, trace)
         else:
             seq[j - 1], seq[j] = seq[j], seq[j - 1]
 
 
+def _to_natural(facs: list, sequence: tuple[int, ...], trace: list | None) -> None:
+    """:func:`_bubble` for the order ``sequence``, its ranks and bubble sort
+    read from their memos."""
+    _bubble(facs, sequence, _ranks(sequence), sort_swaps(sequence), trace)
+
+
 def _from_natural(facs: list, sequence: tuple[int, ...], trace: list | None) -> None:
     """Inverse of :func:`_to_natural`, skipping the same idle steps: those
     where the symbol at position j is the larger symbol of no factor, nor
     (once restored to position j+1) of the pair of the exchanged symbols."""
-    seq, big = _order_lists(range(1, len(sequence) + 1), facs)
+    seq, big = list(range(1, len(sequence) + 1)), [b for _, b in facs]
     for j in reversed(sort_swaps(sequence)):
         ij, ij1 = seq[j], seq[j - 1]
         if ij1 in big or (ij in big and any(ij1 in t for t in facs if ij in t)):
@@ -211,14 +241,43 @@ def _from_natural(facs: list, sequence: tuple[int, ...], trace: list | None) -> 
         raise AssertionError("swap composition did not reach the requested order")
 
 
-def _transport(d: Permutation, perm: Permutation, tail, trace: list | None):
-    """Relabel ``perm`` and a natural-monotone tail by d^{-1}; the tail is
-    then monotone for the order d^{-1}(1) < ... < d^{-1}(n), the images of
-    d^{-1}, and is rewritten natural-monotone."""
-    dinv = d.inverse()
-    facs = [t.relabel(dinv) for t in tail]
-    _to_natural(facs, dinv.images, trace)
-    return perm.relabel(dinv), facs
+def transport(d: Permutation):
+    """Conjugation by ``d`` on plain data: ``move(images, tail, trace=None)``.
+
+    ``move`` sends the images of a permutation and a natural-monotone tail
+    to the images of that permutation relabelled by d^{-1}, and the tail
+    relabelled by d^{-1} and rewritten natural-monotone, both as tuples.
+    The relabelled tail is monotone for the order d^{-1}(1) < ... <
+    d^{-1}(n), under which symbol s has rank d(s); d^{-1}'s images, its
+    relabelling of every transposition and that order's bubble sort are
+    computed here, once for every record ``move`` is given.
+    """
+    dinv = d.inverse().images
+    n = len(dinv)
+    rank, swaps = (0, *d.images), sort_swaps(dinv)
+    relabelled = [[None] * (n + 1) for _ in range(n + 1)]
+    for a, b in all_transpositions(n):
+        relabelled[a][b] = Transposition(dinv[a - 1], dinv[b - 1])
+
+    def move(images, tail, trace: list | None = None):
+        out = [0] * n
+        for x, y in zip(dinv, images):
+            out[x - 1] = dinv[y - 1]
+        facs = [relabelled[a][b] for a, b in tail]
+        _bubble(facs, dinv, rank, swaps, trace)
+        return tuple(out), tuple(facs)
+
+    return move
+
+
+# Star factor tables ``_star_factors`` keeps: every root up to degree 10 fits.
+_STAR_FACTORS_CACHE_SIZE = 55
+
+
+@lru_cache(maxsize=_STAR_FACTORS_CACHE_SIZE)
+def _star_factors(n: int, root: int) -> tuple[Transposition | None, ...]:
+    """(a root) at index a, for every a != root in [n]."""
+    return tuple(None if a in (0, root) else Transposition(a, root) for a in range(n + 1))
 
 
 def _cycle_form(n: int, root: int, legs, trace: list | None) -> tuple[Permutation, list]:
@@ -230,7 +289,7 @@ def _cycle_form(n: int, root: int, legs, trace: list | None) -> tuple[Permutatio
     at the root; the remainder is monotone for that first-appearance order
     and is rewritten natural-monotone, with trace positions relative to it.
     """
-    facs = [Transposition(a, root) for a in legs]
+    facs = list(map(_star_factors(n, root).__getitem__, legs))
     marks: list[int | None] = [None] * len(facs)
     first_appearance: list[int] = []
     for idx, a in enumerate(legs):
@@ -250,7 +309,11 @@ def _cycle_form(n: int, root: int, legs, trace: list | None) -> tuple[Permutatio
     sequence = tuple(first_appearance) + (root,)
     tail = facs[n - 1 :]
     _to_natural(tail, sequence, trace)
-    return Permutation.from_cycles(n, [sequence]), tail
+    # the n distinct symbols of ``sequence`` in one cycle: a full cycle
+    images = [0] * n
+    for a, b in zip(sequence, sequence[1:] + sequence[:1]):
+        images[a - 1] = b
+    return Permutation._trusted(tuple(images)), tail
 
 
 def _star_legs(n: int, sigma: Permutation, tail, root: int, trace: list | None) -> tuple[int, ...]:
@@ -265,7 +328,7 @@ def _star_legs(n: int, sigma: Permutation, tail, root: int, trace: list | None) 
     rest = list(tail)
     _from_natural(rest, sequence, trace)
 
-    facs = [Transposition(i, root) for i in sequence[:-1]] + rest
+    facs = list(map(_star_factors(n, root).__getitem__, sequence[:-1])) + rest
     for p in range(n - 1, 0, -1):
         k = p - 1
         while k + 1 < len(facs) and root not in facs[k + 1]:
@@ -273,7 +336,7 @@ def _star_legs(n: int, sigma: Permutation, tail, root: int, trace: list | None) 
             k += 1
     if not all(root in t for t in facs):
         raise AssertionError("push-back left a non-star factor")
-    return tuple(t.other(root) for t in facs)
+    return tuple([a + b - root for a, b in facs])
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +347,7 @@ def _adjacent(f: MonotoneFactorisation, j: int, stage, trace: list | None) -> Mo
     if not 1 <= j <= f.n - 1:
         raise ValueError(f"swap position {j} outside [1, {f.n - 1}]")
     facs = list(f.factors)
-    seq, big = _order_lists(f.order.sequence, facs)
+    seq, big = list(f.order.sequence), _bigs(facs, _ranks(f.order.sequence))
     stage(facs, big, seq, j, trace)
     return MonotoneFactorisation(f.n, TotalOrder(seq), tuple(facs), f.target, f.genus)
 
@@ -348,8 +411,8 @@ def delta(
         raise ValueError("input must be natural-monotone")
     if d.n != f.n:
         raise ValueError("conjugator degree differs from n")
-    target, facs = _transport(d, f.target, f.factors, trace)
-    return MonotoneFactorisation(f.n, f.order, tuple(facs), target, f.genus)
+    images, facs = transport(d)(f.target.images, f.factors, trace)
+    return MonotoneFactorisation(f.n, f.order, facs, Permutation(images), f.genus)
 
 
 def theta(
@@ -359,9 +422,9 @@ def theta(
     conjugated target, preserving genus."""
     if d.n != md.n:
         raise ValueError("conjugator degree differs from n")
-    sigma, facs = _transport(d, md.sigma, md.factors, trace)
+    images, facs = transport(d)(md.sigma.images, md.factors, trace)
     target = md.target.relabel(d.inverse())
-    return MonotoneDoubleFactorisation(md.n, sigma, tuple(facs), target, md.genus)
+    return MonotoneDoubleFactorisation(md.n, Permutation(images), facs, target, md.genus)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +471,6 @@ def centrality_witness(
     same root and genus, through the cycle form and a conjugation."""
     d = conjugating_permutation(f.target, target)
     sigma, tail = _cycle_form(f.n, f.root, f.legs, trace)
-    sigma, tail = _transport(d, sigma, tail, trace)
-    legs = _star_legs(f.n, sigma, tail, f.root, trace)
+    images, tail = transport(d)(sigma.images, tail, trace)
+    legs = _star_legs(f.n, Permutation(images), tail, f.root, trace)
     return StarFactorisation(f.n, f.root, legs, f.target.relabel(d.inverse()), f.genus)

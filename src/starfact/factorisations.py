@@ -58,6 +58,10 @@ from .perms import (
 )
 
 
+# the larger symbol of a transposition, its second entry
+_larger = itemgetter(1)
+
+
 class ConditionViolation(ValueError):
     """A factorisation record failed one of its defining conditions."""
 
@@ -118,26 +122,27 @@ class StarFactorisation(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        n, root = self.n, self.root
+        n, root, legs, target = self.n, self.root, self.legs, self.target
         if not 1 <= root <= n:
             raise ValueError(f"root {root} outside [{n}]")
-        if self.target.n != n:
+        if len(target.images) != n:
             raise ValueError("target degree differs from n")
-        legs = self.legs
         if legs and (root in legs or min(legs) < 1 or max(legs) > n):
             raise ValueError(f"legs must avoid the root and stay in [{n}]")
-        missing = set(range(1, n + 1)) - {root} - set(legs)
-        if missing:
+        # the legs avoid the root and stay in [n], so they cover it when
+        # n - 1 of them are distinct
+        if len(set(legs)) != n - 1:
+            missing = set(range(1, n + 1)) - {root} - set(legs)
             t = Transposition(min(missing), root)
             raise ConditionViolation("S2'", f"{t} never appears")
-        c = self.target.cycle_count
+        c = len(target.cycles())
         if self.genus < 0 or len(legs) != n + c - 2 + 2 * self.genus:
             raise ConditionViolation(
                 "S1",
                 f"length {len(legs)} != {n} + {c} - 2 + 2*{self.genus}",
             )
-        if _product(n, zip(legs, repeat(root))) != self.target.images:
-            raise ConditionViolation("product", f"factors do not multiply to {self.target}")
+        if _product(n, zip(legs, repeat(root))) != target.images:
+            raise ConditionViolation("product", f"factors do not multiply to {target}")
 
     @classmethod
     def from_legs(cls, n: int, root: int, legs, target: Permutation) -> "StarFactorisation":
@@ -176,26 +181,26 @@ class MonotoneFactorisation(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        n = self.n
-        if self.order.n != n or self.target.n != n:
+        n, order, factors, target = self.n, self.order, self.factors, self.target
+        if len(order.sequence) != n or len(target.images) != n:
             raise ValueError("order/target degree differs from n")
-        factors = self.factors
-        if factors and max(map(itemgetter(1), factors)) > n:
+        if factors and max(map(_larger, factors)) > n:
             raise ValueError(f"factor symbol outside [{n}]")
-        rank = self.order._rank
+        rank = order._rank
         last = 0
         for a, b in factors:
-            r = rank[a] if rank[a] > rank[b] else rank[b]
+            ra, rb = rank[a], rank[b]
+            r = ra if ra > rb else rb
             if r < last:
-                raise ConditionViolation("H2", f"larger symbols not weakly increasing under {self.order}")
+                raise ConditionViolation("H2", f"larger symbols not weakly increasing under {order}")
             last = r
-        c = self.target.cycle_count
+        c = len(target.cycles())
         if self.genus < 0 or len(factors) != n - c + 2 * self.genus:
             raise ConditionViolation(
                 "H1", f"length {len(factors)} != {n} - {c} + 2*{self.genus}"
             )
-        if _product(n, factors) != self.target.images:
-            raise ConditionViolation("product", f"factors do not multiply to {self.target}")
+        if _product(n, factors) != target.images:
+            raise ConditionViolation("product", f"factors do not multiply to {target}")
 
     @classmethod
     def from_factors(cls, n, order, factors, target) -> "MonotoneFactorisation":
@@ -231,15 +236,14 @@ class MonotoneDoubleFactorisation(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        n = self.n
-        if self.sigma.n != n or self.target.n != n:
+        n, sigma, factors, target = self.n, self.sigma, self.factors, self.target
+        if len(sigma.images) != n or len(target.images) != n:
             raise ValueError("sigma/target degree differs from n")
-        factors = self.factors
-        if factors and max(map(itemgetter(1), factors)) > n:
+        if factors and max(map(_larger, factors)) > n:
             raise ValueError(f"factor symbol outside [{n}]")
-        if self.sigma.cycle_count != 1:
-            raise ConditionViolation("H0", f"{self.sigma} is not a full cycle")
-        c = self.target.cycle_count
+        if len(sigma.cycles()) != 1:
+            raise ConditionViolation("H0", f"{sigma} is not a full cycle")
+        c = len(target.cycles())
         if self.genus < 0 or len(factors) != c - 1 + 2 * self.genus:
             raise ConditionViolation(
                 "H1", f"tail length {len(factors)} != {c} - 1 + 2*{self.genus}"
@@ -249,8 +253,8 @@ class MonotoneDoubleFactorisation(Frozen):
             if b < last:
                 raise ConditionViolation("H2", "larger symbols not weakly increasing")
             last = b
-        if _product(n, factors, self.sigma) != self.target.images:
-            raise ConditionViolation("product", f"factors do not multiply to {self.target}")
+        if _product(n, factors, sigma) != target.images:
+            raise ConditionViolation("product", f"factors do not multiply to {target}")
 
     @classmethod
     def from_factors(cls, n, sigma, factors, target) -> "MonotoneDoubleFactorisation":
@@ -384,8 +388,10 @@ def _list(target: Permutation, length: int, moves, feasible=None) -> list[tuple]
     keeps the images of prefix^{-1} * target and that product's distance
     n - c from the identity, which the factor (a b) lowers by 1 when a and b
     share one of its cycles and raises by 1 otherwise; a node is pruned
-    once the distance exceeds the factors left.  Each factor changes both
-    by one, so the parity of their difference is checked once, at the root.
+    once the distance exceeds the factors left.  Both bounds are tested on
+    a child before the search enters it, so a pruned child costs one cycle
+    walk and no call.  Each factor changes both by one, so the parity of
+    their difference is checked once, at the root.
     Counting runs on ``_walk`` instead, so the two routes share no code.
     """
     n = target.n
@@ -394,24 +400,29 @@ def _list(target: Permutation, length: int, moves, feasible=None) -> list[tuple]
     path: list = []
 
     def rec(rem: int, dist: int, aux) -> None:
-        if dist > rem or (feasible is not None and not feasible(aux, rem)):
-            return
-        if not rem:
-            out.append(tuple(path))
-            return
+        rem -= 1
         for item, a, b, nxt in moves(aux):
             x = remaining[a - 1]
             while x != a and x != b:
                 x = remaining[x - 1]
+            d = dist - 1 if x == b else dist + 1
+            if d > rem or (feasible is not None and not feasible(nxt, rem)):
+                continue
             path.append(item)
-            remaining[a - 1], remaining[b - 1] = remaining[b - 1], remaining[a - 1]
-            rec(rem - 1, dist - 1 if x == b else dist + 1, nxt)
-            remaining[a - 1], remaining[b - 1] = remaining[b - 1], remaining[a - 1]
+            if rem:
+                remaining[a - 1], remaining[b - 1] = remaining[b - 1], remaining[a - 1]
+                rec(rem, d, nxt)
+                remaining[a - 1], remaining[b - 1] = remaining[b - 1], remaining[a - 1]
+            else:
+                out.append(tuple(path))
             path.pop()
 
     dist = n - target.cycle_count
-    if (length - dist) % 2 == 0:
-        rec(length, dist, 0)
+    if dist <= length and (length - dist) % 2 == 0 and (feasible is None or feasible(0, length)):
+        if length:
+            rec(length, dist, 0)
+        else:
+            out.append(())
     return out
 
 
@@ -528,6 +539,12 @@ def count_monotone_double(target: Permutation, genus: int) -> int:
     return sum(sum(map(group.get, ranks, repeat(0))) for group in layer.values())
 
 
+# Orders whose listing moves ``_rank_sorted_moves`` keeps; the suites and
+# the benchmark list under at most a few dozen orders at once.
+_MOVES_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_MOVES_CACHE_SIZE)
 def _rank_sorted_moves(order: TotalOrder):
     """Listing moves for factors monotone under ``order``: sorted by (rank of
     larger symbol, rank of smaller), and from aux r only those whose larger

@@ -182,8 +182,9 @@ class Permutation(Frozen):
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
-        """A permutation on images that are a bijection by construction (a
-        product, inverse or relabelling of permutations), unchecked."""
+        """A permutation on images that are a bijection by construction (the
+        identity, or a product, inverse or relabelling of permutations),
+        unchecked."""
         p = object.__new__(cls)
         _set_images(p, images)
         return p
@@ -195,7 +196,7 @@ class Permutation(Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def transposition(cls, n: int, a: int, b: int) -> "Permutation":
@@ -271,10 +272,12 @@ class Permutation(Frozen):
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Left-to-right product: apply ``self`` first, then ``other``."""
-        if self.n != other.n:
-            raise DegreeMismatchError(f"S_{self.n} vs S_{other.n}")
-        q = other.images
-        return Permutation._trusted(tuple([q[x - 1] for x in self.images]))
+        p, q = self.images, other.images
+        if len(p) != len(q):
+            raise DegreeMismatchError(f"S_{len(p)} vs S_{len(q)}")
+        out = object.__new__(Permutation)
+        _set_images(out, tuple([q[x - 1] for x in p]))
+        return out
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n

@@ -30,7 +30,6 @@ from .algebra import (
 )
 from .bijections import (
     centrality_witness,
-    delta,
     gamma,
     gamma_inverse,
     lambda_j,
@@ -39,7 +38,7 @@ from .bijections import (
     lambda_order_inverse,
     reroot,
     reroot_all,
-    theta,
+    transport,
 )
 from .factorisations import (
     b_number,
@@ -407,6 +406,9 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> Iterator[CheckResult]:
             monotone = lru_cache(maxsize=None)(lambda w, order: enumerate_monotone(w, g, order))
             mds = lru_cache(maxsize=None)(lambda w: enumerate_monotone_double(w, g))
             stars = lru_cache(maxsize=None)(lambda w, root: enumerate_star(w, g, root))
+            monotone_keys = lru_cache(maxsize=None)(
+                lambda w: [(f.target.images, f.factors) for f in monotone(w, natural)])
+            md_keys = lru_cache(maxsize=None)(lambda w: [(f.sigma.images, f.factors) for f in mds(w)])
 
             # adjacent-swap rewrite: bijection between order classes
             ok, moved = True, 0
@@ -459,15 +461,19 @@ def suite_bijections(n: int = 4, gmax: int = 1) -> Iterator[CheckResult]:
                 )
             yield CheckResult(f"rerooting bijective with round trips{at}", ok)
 
-            # conjugation transport on monotone and monotone double forms
+            # conjugation transport on monotone and monotone double forms, on
+            # the plain (images, factors) keys that delta and theta build their
+            # records from; a key set equal to a validated listing's is valid
             ok = True
             for w in symmetric_group(nn):
-                source = monotone(w, natural)
+                mono_source, md_source = monotone_keys(w), md_keys(w)
                 for d in symmetric_group(nn):
+                    move = transport(d)
                     relabelled = w.relabel(d.inverse())
-                    ok &= (_bijective(source, [delta(f, d) for f in source],
-                                      monotone(relabelled, natural))
-                           and _bijective(mds(w), [theta(f, d) for f in mds(w)], mds(relabelled)))
+                    ok &= (_bijective(mono_source, [move(*k) for k in mono_source],
+                                      monotone_keys(relabelled))
+                           and _bijective(md_source, [move(*k) for k in md_source],
+                                          md_keys(relabelled)))
             yield CheckResult(f"conjugation transport bijective for every conjugator{at}", ok)
 
             # centrality witness: same count at every member of the class

@@ -35,9 +35,11 @@ from starfact.algebra import (
 )
 from starfact.formulas import recurrence_star
 from starfact.perms import _PARTITIONS_CACHE_SIZE, conjugacy_classes, sort_swaps
+from starfact.bijections import _ranks, _star_factors
 from starfact.factorisations import (
     _WALK_CACHE_SIZE,
     _WALKS,
+    _rank_sorted_moves,
     count_double_hurwitz,
     count_monotone,
     count_monotone_double,
@@ -392,8 +394,19 @@ class TestTransitivityOperator:
         # the package uses
         for n in range(1, 7):
             assert sum(map(len, conjugacy_classes(n).values())) == factorial(n)
-            for seq in permutations(range(1, n + 1)):
-                sort_swaps(seq)
+        # the order memos of the listers and the rewrite core, past S_6's
+        # orders, and the star factor tables past the roots of degree 10
+        order_memos = (sort_swaps, _ranks, _rank_sorted_moves)
+        for seq in permutations(range(1, 8)):
+            sort_swaps(seq)
+            _ranks(seq)
+            _rank_sorted_moves(TotalOrder(seq))
+        for n in range(1, 12):
+            for root in range(1, n + 1):
+                _star_factors(n, root)
+        for memo in (*order_memos, _star_factors):
+            info = memo.cache_info()
+            assert info.misses > info.maxsize, memo.__wrapped__.__qualname__
         for n in range(2, 12):
             for a, b in permutations(range(1, n + 1), 2):
                 Permutation.transposition(n, a, b)
@@ -413,7 +426,8 @@ class TestTransitivityOperator:
             for obj in vars(importlib.import_module(info.name)).values()
             if hasattr(obj, "cache_info")
         }
-        assert {_transitive_monomial, _transitive_move_list, conjugacy_classes} <= memos
+        assert {_transitive_monomial, _transitive_move_list, conjugacy_classes, *order_memos,
+                _star_factors} <= memos
         for memo in memos:
             info = memo.cache_info()
             assert info.maxsize is not None, memo.__qualname__

@@ -31,8 +31,10 @@ from starfact.bijections import (
     reroot_all,
     rhm,
     theta,
+    transport,
 )
 from starfact.factorisations import (
+    ConditionViolation,
     MonotoneDoubleFactorisation,
     MonotoneFactorisation,
     StarFactorisation,
@@ -411,6 +413,68 @@ class TestConjugationTransport:
                 dst = enumerate_monotone_double(target.relabel(d.inverse()), genus)
                 image = {(theta(md, d).sigma.images, theta(md, d).factors) for md in src}
                 assert image == {(g.sigma.images, g.factors) for g in dst}
+
+
+class TestPlainTransport:
+    """``theta`` and ``delta`` are records built on the plain core that the
+    ``bijections`` suite compares by key; each still validates its record."""
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_maps_are_the_plain_keys_rebuilt(self, genus):
+        natural = TotalOrder.natural(4)
+        for w in symmetric_group(4):
+            for d in symmetric_group(4):
+                move = transport(d)
+                relabelled = w.relabel(d.inverse())
+                for f in enumerate_monotone(w, genus):
+                    images, facs = move(f.target.images, f.factors)
+                    assert images == relabelled.images
+                    assert delta(f, d) == MonotoneFactorisation(
+                        4, natural, facs, Permutation(images), genus)
+                for md in enumerate_monotone_double(w, genus):
+                    images, facs = move(md.sigma.images, md.factors)
+                    assert theta(md, d) == MonotoneDoubleFactorisation(
+                        4, Permutation(images), facs, relabelled, genus)
+
+    @staticmethod
+    def spread_out(records, d):
+        """The first record whose transported tail has strictly increasing
+        larger symbols, the last at least 3."""
+        move = transport(d)
+        for rec in records:
+            tail = move(rec.target.images if isinstance(rec, MonotoneFactorisation)
+                        else rec.sigma.images, rec.factors)[1]
+            bigs = [t.b for t in tail]
+            if len(tail) >= 2 and bigs == sorted(set(bigs)) and bigs[-1] >= 3:
+                return rec
+        raise LookupError("no record with a spread-out tail")
+
+    @pytest.mark.parametrize("wrong, condition", [
+        (lambda tail: tail[:-1], "H1"),
+        (lambda tail: tail[::-1], "H2"),
+        (lambda tail: tail[:-1] + (Transposition(2 if tail[-1].a == 1 else 1, tail[-1].b),),
+         "product"),
+    ], ids=["short", "unsorted", "wrong-product"])
+    def test_maps_refuse_a_wrong_tail_from_the_core(self, monkeypatch, wrong, condition):
+        d = perm("(1 3 2 4)")
+        f = self.spread_out(enumerate_monotone(perm("(1 2 3 4)"), 0), d)
+        md = self.spread_out(enumerate_monotone_double(Permutation.identity(4), 0), d)
+        core = bijections.transport
+
+        def broken(d):
+            move = core(d)
+
+            def wrong_move(images, tail, trace=None):
+                images, tail = move(images, tail, trace)
+                return images, wrong(tail)
+
+            return wrong_move
+
+        monkeypatch.setattr(bijections, "transport", broken)
+        for call in (lambda: delta(f, d), lambda: theta(md, d)):
+            with pytest.raises(ConditionViolation) as caught:
+                call()
+            assert caught.value.condition == condition
 
 
 class TestStarToCycleForm:

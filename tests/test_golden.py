@@ -1,6 +1,8 @@
 """Frozen trace and verify outputs; see golden/README.md for the file layout."""
 
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,13 @@ def test_trace_matches_golden(path, capsys):
     out = capsys.readouterr()
     assert code == 0
     assert out.out == body
+
+
+def test_bijections_report_survives_optimisation():
+    # under -O, with every assert statement stripped, the rewrite core's
+    # AssertionError checks and the record checks still run and pass
+    header, _, body = (GOLDEN_DIR / "verify-bijections-n3-g1.txt").read_bytes().partition(b"\n")
+    argv = shlex.split(header.decode()[len("# starfact "):])
+    proc = subprocess.run([sys.executable, "-O", "-m", "starfact.cli", *argv], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == body

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from starfact.algebra import p
+from starfact.bijections import transport
+from starfact.perms import Permutation
 from starfact.verify import (
     BOUND_FLOORS,
     CheckResult,
@@ -150,6 +152,15 @@ class TestSuiteProtocol:
 _GAMMA = "star to monotone double bijective from every root"
 _TRANSPORT = "conjugation transport bijective for every conjugator"
 _WITNESS = "class transport witnesses equal counts"
+
+
+def _unsorted_transport(d):
+    """The transport by d that relabels the tail but never sorts it."""
+    dinv = d.inverse()
+    return lambda images, tail, trace=None: (Permutation(images).relabel(dinv).images,
+                                             tuple(t.relabel(dinv) for t in tail))
+
+
 _BROKEN_MAPS = [
     ("gamma", lambda f, trace=None: None, _GAMMA),
     ("gamma", lambda f, trace=None: f, _GAMMA),
@@ -162,10 +173,11 @@ _BROKEN_MAPS = [
     ("lambda_order_inverse", lambda f, order, trace=None: f,
      "order rewrite to natural is bijective per order"),
     ("reroot_all", lambda f: (f,) * f.n, "rerooting bijective with round trips"),
-    ("delta", lambda f, d, trace=None: None, _TRANSPORT),
-    ("delta", lambda f, d, trace=None: f, _TRANSPORT),
-    ("theta", lambda md, d, trace=None: None, _TRANSPORT),
-    ("theta", lambda md, d, trace=None: md, _TRANSPORT),
+    # the transport check runs on the plain core that delta and theta share
+    ("transport", lambda d: lambda images, tail, trace=None: None, _TRANSPORT),
+    ("transport", lambda d: lambda images, tail, trace=None: (images, tail), _TRANSPORT),
+    ("transport", lambda d: transport(d.inverse()), _TRANSPORT),
+    ("transport", _unsorted_transport, _TRANSPORT),
     ("centrality_witness", lambda f, target, trace=None: None, _WITNESS),
     ("centrality_witness", lambda f, target, trace=None: f, _WITNESS),
     # rows of the wrong shape, which the round trip would index into
