@@ -429,7 +429,7 @@ def _transitive_monomial(n: int, exps: tuple[int, ...]) -> tuple[tuple[int, int]
     where one block is left."""
     slots = tuple(j for j, mult in enumerate(exps, 2) for _ in range(mult))
     layer = _walk(n, ("transitive", slots), partial(_transitive_moves, slots), len(slots),
-                  start_aux=(0, tuple(range(n))), keep=False)
+                  {(0, tuple(range(n))): {0: 1}}, keep=False)
     return tuple(layer.get((len(slots), (0,) * n), {}).items())
 
 

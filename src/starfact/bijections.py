@@ -23,15 +23,18 @@ The maps share one rewrite core on plain lists of factors and plain order
 sequences: ``_swap`` and ``_unswap`` (one adjacent order swap and its
 inverse), ``_to_natural`` and ``_from_natural`` (swaps composed along
 ``sort_swaps`` of an order sequence, whose rank list ``_ranks`` keeps),
-``_cycle_form`` and ``_star_legs`` (star legs to and from the cycle form,
-with the star factors of each (n, root) from one table) and
-``transport`` (conjugation).  ``transport(d)`` computes d^{-1}'s images,
+``cycle_form`` and ``_star_legs`` (star legs to and from the cycle form,
+a full cycle's images and a tail, with the star factors of each
+(n, root) from one table) and ``transport`` (conjugation).
+``transport(d)`` computes d^{-1}'s images,
 its relabelling of every transposition and the bubble sort of its order
 once, and returns a function that moves any number of plain
 (images, tail) pairs.  No record or order value is built inside the core;
 each public map builds and validates the one record it returns, at the
-end.  The ``bijections`` suite of ``verify`` runs the transport check on
-the plain keys alone, comparing them with the keys of validated listings.
+end.  ``verify`` runs two checks on the plain keys alone, comparing them
+with the keys of validated listings: the transport check of the
+``bijections`` suite on ``transport``'s, and the listing check of the
+``theorem-1.4`` suite on ``cycle_form``'s.
 Along a bubble sort the core keeps each factor's larger symbol in one list
 of ints, and skips the idle steps: a swap whose (j+1)-st order symbol is
 the larger symbol of no factor moves nothing and records no step, so only
@@ -280,8 +283,11 @@ def _star_factors(n: int, root: int) -> tuple[Transposition | None, ...]:
     return tuple(None if a in (0, root) else Transposition(a, root) for a in range(n + 1))
 
 
-def _cycle_form(n: int, root: int, legs, trace: list | None) -> tuple[Permutation, list]:
-    """Star legs (any root) to (full cycle, natural-monotone tail).
+def cycle_form(n: int, root: int, legs,
+               trace: list | None = None) -> tuple[tuple[int, ...], tuple[Transposition, ...]]:
+    """Star legs (any root) to (full cycle, natural-monotone tail), as the
+    cycle's images and the tail: the plain core that :func:`gamma` builds
+    its record from.
 
     Mark the first appearance of each leg symbol; left-hand-move each marked
     factor leftward until it rests beside the previously marked one.  The
@@ -313,18 +319,20 @@ def _cycle_form(n: int, root: int, legs, trace: list | None) -> tuple[Permutatio
     images = [0] * n
     for a, b in zip(sequence, sequence[1:] + sequence[:1]):
         images[a - 1] = b
-    return Permutation._trusted(tuple(images)), tail
+    return tuple(images), tuple(tail)
 
 
-def _star_legs(n: int, sigma: Permutation, tail, root: int, trace: list | None) -> tuple[int, ...]:
-    """Inverse construction: rotate the cycle to end at ``root``, rewrite the
-    tail monotone for the rotated order, expand the cycle into marked
-    factors, and right-hand-move each back into star position."""
+def _star_legs(n: int, images, tail, root: int, trace: list | None) -> tuple[int, ...]:
+    """Inverse construction from a full cycle's images and its tail: rotate
+    the cycle to end at ``root``, rewrite the tail monotone for the rotated
+    order, expand the cycle into marked factors, and right-hand-move each
+    back into star position."""
     if not 1 <= root <= n:
         raise ValueError(f"root {root} outside [{n}]")
-    cyc = sigma.cycles()[0]
-    pos = cyc.index(root)
-    sequence = cyc[pos + 1 :] + cyc[: pos + 1]
+    rotated = [images[root - 1]]
+    while len(rotated) < n:
+        rotated.append(images[rotated[-1] - 1])
+    sequence = tuple(rotated)
     rest = list(tail)
     _from_natural(rest, sequence, trace)
 
@@ -434,33 +442,34 @@ def theta(
 def gamma(f: StarFactorisation, trace: list | None = None) -> MonotoneDoubleFactorisation:
     """Star (any root) to (full cycle, monotone tail); inverse is
     :func:`gamma_inverse` when the root is n."""
-    sigma, tail = _cycle_form(f.n, f.root, f.legs, trace)
-    return MonotoneDoubleFactorisation(f.n, sigma, tuple(tail), f.target, f.genus)
+    images, tail = cycle_form(f.n, f.root, f.legs, trace)
+    return MonotoneDoubleFactorisation(f.n, Permutation._trusted(images), tail, f.target,
+                                       f.genus)
 
 
 def gamma_inverse(
     md: MonotoneDoubleFactorisation, trace: list | None = None
 ) -> StarFactorisation:
     n = md.n
-    legs = _star_legs(n, md.sigma, md.factors, n, trace)
+    legs = _star_legs(n, md.sigma.images, md.factors, n, trace)
     return StarFactorisation(n, n, legs, md.target, md.genus)
 
 
 def _rerooted(f: StarFactorisation, form, root: int, trace: list | None) -> StarFactorisation:
     """The star factorisation at ``root`` read from ``form``, the cycle form of ``f``."""
-    sigma, tail = form
-    legs = _star_legs(f.n, sigma, tail, root, trace)
+    images, tail = form
+    legs = _star_legs(f.n, images, tail, root, trace)
     return StarFactorisation(f.n, root, legs, f.target, f.genus)
 
 
 def reroot(f: StarFactorisation, root: int, trace: list | None = None) -> StarFactorisation:
     """The same-genus star factorisation of the same target with a new root."""
-    return _rerooted(f, _cycle_form(f.n, f.root, f.legs, trace), root, trace)
+    return _rerooted(f, cycle_form(f.n, f.root, f.legs, trace), root, trace)
 
 
 def reroot_all(f: StarFactorisation) -> tuple[StarFactorisation, ...]:
     """``reroot(f, r)`` for r = 1, ..., n, all read from one cycle form."""
-    form = _cycle_form(f.n, f.root, f.legs, None)
+    form = cycle_form(f.n, f.root, f.legs)
     return tuple(_rerooted(f, form, r, None) for r in range(1, f.n + 1))
 
 
@@ -470,7 +479,6 @@ def centrality_witness(
     """Carry a star factorisation to one of any conjugate target with the
     same root and genus, through the cycle form and a conjugation."""
     d = conjugating_permutation(f.target, target)
-    sigma, tail = _cycle_form(f.n, f.root, f.legs, trace)
-    images, tail = transport(d)(sigma.images, tail, trace)
-    legs = _star_legs(f.n, Permutation(images), tail, f.root, trace)
+    images, tail = transport(d)(*cycle_form(f.n, f.root, f.legs, trace), trace)
+    legs = _star_legs(f.n, images, tail, f.root, trace)
     return StarFactorisation(f.n, f.root, legs, f.target.relabel(d.inverse()), f.genus)

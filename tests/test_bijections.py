@@ -18,6 +18,7 @@ from starfact import Permutation, TotalOrder, Transposition, bijections, symmetr
 from starfact.bijections import (
     TraceStep,
     centrality_witness,
+    cycle_form,
     delta,
     gamma,
     gamma_inverse,
@@ -507,6 +508,36 @@ class TestStarToCycleForm:
                 assert gamma_inverse(gamma(f)) == f
             for md in enumerate_monotone_double(target, genus):
                 assert gamma(gamma_inverse(md)) == md
+
+
+class TestPlainCycleForm:
+    """``gamma`` is a record built on the plain core that the ``theorem-1.4``
+    suite compares by key; it still validates its record."""
+
+    @pytest.mark.parametrize("genus", [0, 1])
+    def test_gamma_is_the_plain_keys_rebuilt(self, genus):
+        for w in symmetric_group(4):
+            for root in range(1, 5):
+                for f in enumerate_star(w, genus, root):
+                    images, tail = cycle_form(4, root, f.legs)
+                    assert gamma(f) == MonotoneDoubleFactorisation(
+                        4, Permutation(images), tail, w, genus)
+
+    @pytest.mark.parametrize("wrong, error", [
+        (lambda images, tail: (images, tail[:-1]), "H1"),
+        (lambda images, tail: ((1, 2, 3, 4), tail), "H0"),
+        # the inverse cycle
+        (lambda images, tail: (tuple(images.index(s) + 1 for s in range(1, 5)), tail),
+         "product"),
+    ], ids=["short", "not-a-cycle", "wrong-product"])
+    def test_gamma_refuses_a_wrong_result_from_the_core(self, monkeypatch, wrong, error):
+        f = enumerate_star(perm("(1 2)(3 4)"), 1, 4)[0]
+        core = bijections.cycle_form
+        monkeypatch.setattr(bijections, "cycle_form",
+                            lambda n, root, legs, trace=None: wrong(*core(n, root, legs, trace)))
+        with pytest.raises(ConditionViolation) as caught:
+            gamma(f)
+        assert caught.value.condition == error
 
 
 class TestReroot:

@@ -31,6 +31,7 @@ from starfact.factorisations import (
     enumerate_monotone_double,
     enumerate_star,
     full_cycles,
+    monotone_double_sweep,
     monotone_length,
     star_length,
 )
@@ -559,6 +560,19 @@ class TestWalkTables:
         assert count_monotone_double(w, 1) == len(enumerate_monotone_double(w, 1))
         assert count_monotone(w, 1) == len(enumerate_monotone(w, 1))
         assert list(factorisations._WALKS) == [(5, ("monotone", (1, 2, 3, 4, 5)))]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_monotone_double_sweep_is_the_count_at_every_target(self, n):
+        assert list(monotone_double_sweep(n, 2)) == [
+            [count_monotone_double(w, genus) for w in symmetric_group(n)] for genus in range(3)]
+
+    def test_monotone_double_sweep_is_one_cached_class_walk(self):
+        factorisations._WALKS.clear()
+        assert list(monotone_double_sweep(4, -1)) == []
+        assert not factorisations._WALKS
+        list(monotone_double_sweep(4, 1))
+        list(monotone_double_sweep(4, 0))
+        assert list(factorisations._WALKS) == [(4, ("monotone-double",))]
 
     def test_unconstrained_star_shares_the_star_walk(self):
         w = perm("(1 2 3)(4 5)")

@@ -7,7 +7,13 @@ import pytest
 
 from starfact.algebra import p
 from starfact.bijections import transport
-from starfact.perms import Permutation
+from starfact.factorisations import (
+    _WALK_CACHE_SIZE,
+    _WALKS,
+    enumerate_monotone_double,
+    monotone_double_sweep,
+)
+from starfact.perms import Permutation, Transposition
 from starfact.verify import (
     BOUND_FLOORS,
     CheckResult,
@@ -198,11 +204,48 @@ class TestBrokenMapsFailTheirOwnCheck:
         monkeypatch.setattr(f"starfact.verify.{name}", wrong)
         assert _failed_labels(run_suite("bijections", n=3, gmax=1)) == {label}
 
-    @pytest.mark.parametrize("wrong", [lambda f, trace=None: None, lambda f, trace=None: f])
+    # the listing half runs on gamma's plain core: a None result, and the
+    # identity behind the star's own factors
+    @pytest.mark.parametrize("wrong", [
+        lambda n, root, legs, trace=None: None,
+        lambda n, root, legs, trace=None: (tuple(range(1, n + 1)),
+                                           tuple(Transposition(a, root) for a in legs)),
+    ])
     def test_theorem_1_4_listing_half(self, monkeypatch, wrong):
-        monkeypatch.setattr("starfact.verify.gamma", wrong)
+        monkeypatch.setattr("starfact.verify.cycle_form", wrong)
         report = run_suite("theorem-1.4", n=3, gmax=1)
         assert _failed_labels(report) == {"explicit bijection matches listings"}
+
+    def test_bijections_suite_counts_a_repeated_md_record(self, monkeypatch):
+        # the star map's image check compares sets, so only the transport
+        # check, which moves every md record of the listing, sees a repeat
+        listed = enumerate_monotone_double
+
+        def repeated(w, genus):
+            mds = listed(w, genus)
+            return mds + mds[:1]
+
+        monkeypatch.setattr("starfact.verify.enumerate_monotone_double", repeated)
+        assert _failed_labels(run_suite("bijections", n=3, gmax=1)) == {
+            "conjugation transport bijective for every conjugator"}
+
+    def test_theorem_1_4_dp_half(self, monkeypatch):
+        # the md count of each target read at the next rank
+        def shifted(n, gmax):
+            return [md[1:] + md[:1] for md in monotone_double_sweep(n, gmax)]
+
+        monkeypatch.setattr("starfact.verify.monotone_double_sweep", shifted)
+        report = run_suite("theorem-1.4", n=3, gmax=1)
+        assert _failed_labels(report) == {"star count equals monotone double count"}
+
+
+def test_theorem_1_4_past_its_old_cap():
+    assert run_suite("theorem-1.4", n=7, gmax=2).passed
+
+
+def test_theorem_1_4_keeps_the_walk_cache_bounded():
+    run_suite("theorem-1.4", n=6, gmax=3)
+    assert len(_WALKS) <= _WALK_CACHE_SIZE
 
 
 def test_formulas_listing_check_keeps_to_its_budget(monkeypatch):
