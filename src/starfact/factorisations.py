@@ -31,8 +31,10 @@ sequences; each is then built once into a validated record.  The counters
 share one engine, the layered walk ``_walk`` over (prefix product, aux),
 where the product is its rank in S_n, moved by a per-degree table
 act[(a, b)][rank], from a start layer that each caller passes.  The aux is
-the covered-leg bitmask (star, from the identity; the unconstrained count
-sums over every mask), the least order rank of the next factor (monotone,
+the number k of legs a star walk may use, always its first k legs (star,
+from the identity at every k at once; the unconstrained count reads k =
+n - 1, and ``count_star`` sums over the legs the target fixes by
+inclusion-exclusion), the least order rank of the next factor (monotone,
 from the identity) or the orbit block labels (double Hurwitz, from a class
 representative).  The transitive part of a Jucys-Murphy monomial in
 ``algebra`` runs on the same walk, with aux (slot position, block labels).
@@ -56,7 +58,7 @@ from collections import OrderedDict
 from collections.abc import Iterator
 from functools import cached_property, lru_cache, partial
 from itertools import combinations, permutations, repeat
-from operator import attrgetter, itemgetter, methodcaller
+from operator import itemgetter, methodcaller
 
 from .perms import (
     Frozen,
@@ -296,18 +298,21 @@ class MonotoneDoubleFactorisation(Frozen):
 
 
 @lru_cache(maxsize=2)
-def full_cycles(n: int) -> tuple[Permutation, ...]:
-    """All n-cycles of S_n, in lexicographic image order, each built from
-    its cycle (1 a_2 ... a_n), so that building them decomposes nothing."""
+def _full_cycle_images(n: int) -> tuple[bytes, ...]:
+    """The images of every n-cycle of S_n as bytes, in lexicographic order,
+    each read off its cycle (1 a_2 ... a_n) as a byte translation."""
     if n < 1:
         return ()
-    built = (Permutation.from_cycles(n, [(1,) + rest]) for rest in permutations(range(2, n + 1)))
-    return tuple(sorted(built, key=attrgetter("images")))
+    ident = bytes(range(1, n + 1))
+    one = ident[:1]
+    return tuple(sorted(ident.translate(bytes.maketrans(one + rest, rest + one))
+                        for rest in map(bytes, permutations(ident[1:]))))
 
 
 @lru_cache(maxsize=2)
-def _full_cycle_images(n: int) -> tuple[bytes, ...]:
-    return tuple(bytes(c.images) for c in full_cycles(n))
+def full_cycles(n: int) -> tuple[Permutation, ...]:
+    """All n-cycles of S_n, in lexicographic image order."""
+    return tuple(Permutation._trusted(tuple(images)) for images in _full_cycle_images(n))
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +360,10 @@ def _walk(n: int, key: tuple, moves, steps: int, start: dict, keep=True) -> dict
     ``x`` it may multiply by (a, b) and take aux ``y`` for each
     ((a, b), y) in ``moves(x)``.  Layers are built on demand and, with
     ``keep``, cached with the walk; ``start`` is read only when the walk is
-    not cached yet.  Each caller passes its own start layer: the star and
-    monotone counters start at the identity with aux 0 (unconstrained star
-    sums the star walk over every mask); ``monotone_double_sweep`` starts
+    not cached yet.  Each caller passes its own start layer: the star
+    counters start at the identity with every leg prefix k = 0..n-1 as
+    aux, in one walk; the monotone counters start at the identity with aux
+    0; ``monotone_double_sweep`` starts
     the natural monotone walk at every full cycle at once, with aux 0; the
     double Hurwitz counter starts at a class representative with its
     cycles as blocks; and ``algebra._transitive_monomial`` starts at the
@@ -444,11 +450,13 @@ def _list(target: Permutation, length: int, moves, feasible=None) -> list[tuple]
 # star factorisations
 
 
-def _star_moves(n: int, root: int, mask: int):
-    """Moves (a root) of a star walk, whose aux is the bitmask of legs used."""
-    for a in range(1, n + 1):
-        if a != root:
-            yield (min(a, root), max(a, root)), mask | 1 << (a - 1)
+def _star_moves(root: int, k: int):
+    """Moves (a root) of a star walk whose aux k allows only the first k
+    legs, the symbols other than the root in increasing order; the aux
+    never changes."""
+    for i in range(1, k + 1):
+        a = i if i < root else i + 1
+        yield (min(a, root), max(a, root)), k
 
 
 def star_length(target: Permutation, genus: int) -> int:
@@ -456,33 +464,69 @@ def star_length(target: Permutation, genus: int) -> int:
 
 
 def _star_layer(n: int, root: int, steps: int) -> dict:
-    """Layer ``steps`` of the star walk rooted at ``root``, from the identity."""
-    return _walk(n, ("star", root), partial(_star_moves, n, root), steps, {0: {0: 1}})
+    """Layer ``steps`` of the star walk rooted at ``root``: from the
+    identity at every leg prefix k = 0, ..., n - 1 at once."""
+    return _walk(n, ("star", root), partial(_star_moves, root), steps, _star_start(n))
+
+
+# the star walk's start layer, shared by every root; no walk writes to it
+@lru_cache(maxsize=2)
+def _star_start(n: int) -> dict:
+    return {k: {0: 1} for k in range(n)}
 
 
 def count_star(target: Permutation, genus: int, root: int) -> int:
-    """Number of transitive star factorisations, by dynamic programme."""
+    """Number of transitive star factorisations, by dynamic programme.
+
+    A star tuple fixes every leg it leaves out, so only the f legs that the
+    target fixes can be missing.  By inclusion-exclusion over them, the
+    count is sum_j (-1)^j C(f, j) U_{n-1-j}(w'), where U_k counts the
+    tuples on the first k legs (the star walk's aux-k group) and w' is the
+    target with its moved legs relabelled onto the first legs and the root
+    kept.  A target that fixes no leg is one read of U_{n-1}.
+    """
     n = target.n
     if not 1 <= root <= n:
         raise ValueError(f"root {root} outside [{n}]")
     if genus < 0:
         return 0
-    m = star_length(target, genus)
-    full = ((1 << n) - 1) & ~(1 << (root - 1))
-    return _star_layer(n, root, m).get(full, {}).get(_rank(target), 0)
+    layer = _star_layer(n, root, star_length(target, genus))
+    cycles = target.cycles()
+    free = list(map(len, cycles)).count(1) - (target.images[root - 1] == root)
+    if not free:
+        return layer.get(n - 1, {}).get(_rank(target), 0)
+    # relabel the moved legs, in cycle order, onto the first legs
+    new = list(range(n + 1))
+    relabelled = bytearray(range(1, n + 1))
+    leg = 0
+    for cycle in cycles:
+        if len(cycle) > 1:
+            for s in cycle:
+                if s != root:
+                    leg += 2 if leg + 1 == root else 1
+                    new[s] = leg
+            before = new[cycle[-1]]
+            for s in cycle:
+                relabelled[before - 1] = new[s]
+                before = new[s]
+    rank = _coding(n)[1][bytes(relabelled)]
+    total, coefficient = 0, 1  # (-1)^j C(free, j)
+    for j in range(free + 1):
+        total += coefficient * layer.get(n - 1 - j, {}).get(rank, 0)
+        coefficient = coefficient * (j - free) // (j + 1)
+    return total
 
 
 def count_star_unconstrained(target: Permutation, length: int, root: int) -> int:
     """Number of length-``length`` star-transposition tuples with the given
-    product, with no coverage requirement: the star walk summed over every
-    mask of covered legs."""
+    product, with no coverage requirement: the star walk's group for the
+    prefix of every leg."""
     n = target.n
     if not 1 <= root <= n:
         raise ValueError(f"root {root} outside [{n}]")
     if length < 0:
         return 0
-    rank = _rank(target)
-    return sum(group.get(rank, 0) for group in _star_layer(n, root, length).values())
+    return _star_layer(n, root, length).get(n - 1, {}).get(_rank(target), 0)
 
 
 def enumerate_star(target: Permutation, genus: int, root: int) -> list[StarFactorisation]:

@@ -531,9 +531,9 @@ SUITES: dict[str, SuiteSpec] = {
             {"n": 7},
         ),
         # caps from measured cost (Python 3.11, 2-core x86-64, one fresh
-        # process each): n = 8 takes 2.4 s and 110 MB at g <= 1, 5.5 s and
-        # 178 MB at g <= 4 and 16-23 s and 465 MB at g <= 16; n = 9 takes 49 s
-        # but 916 MB at g = 0.  The defaults stay at n = 5, g = 2: perfbench's
+        # process each): n = 8 takes 3.2-4.0 s and 95 MB at g <= 1, 6-7 s and
+        # 150 MB at g <= 4 and 23 s and 381 MB at g <= 16; n = 9 takes 62 s
+        # and 817 MB at g = 0.  The defaults stay at n = 5, g = 2: perfbench's
         # cli-session workload runs the suite at its defaults, so raising
         # them would slow its verify op.
         SuiteSpec(
@@ -551,10 +551,13 @@ SUITES: dict[str, SuiteSpec] = {
             suite_corollary_1_6,
             {"n": 6, "kmax": 4},
         ),
+        # caps from measured cost (Python 3.11, 2-core x86-64, one fresh
+        # process each): g <= 3 takes 0.65 s and 53 MB at n = 8, and 14-16 s
+        # and 478-480 MB at n = 9, about 150 MB of that the action table of S_9
         SuiteSpec(
             "recurrence-2.1",
             suite_recurrence_2_1,
-            {"n": 7, "gmax": 3},
+            {"n": 9, "gmax": 3},
         ),
         SuiteSpec(
             "formulas-6.2",

@@ -582,11 +582,30 @@ class TestWalkTables:
         assert list(factorisations._WALKS) == [(5, ("star", 2))]
 
 
+    def test_star_walk_is_one_entry_of_leg_prefix_groups(self):
+        # the leg-prefix aux k = 0..5 keeps at most (k+1)!/2 ranks per group
+        # in a layer, 436 in all; a covered-leg mask would keep up to 815
+        factorisations._WALKS.clear()
+        count_star(Permutation.identity(6), 2, 6)
+        assert list(factorisations._WALKS) == [(6, ("star", 6))]
+        layers = factorisations._WALKS[6, ("star", 6)][0]
+        assert len(layers) == star_length(Permutation.identity(6), 2) + 1
+        assert max(sum(map(len, layer.values())) for layer in layers) <= 436
+
+
 class TestDpMatchesListingsInS5:
     """Every class of S_5 at g <= 1: each DP count against its lister, or
     against brute force where no lister exists."""
 
     CLASSES = [class_representative(lam) for lam in partitions_of(5)]
+
+    def test_star_at_every_target_and_root_in_genus_0(self):
+        # targets that fix 0 to 4 legs and move or fix the root: every term
+        # count of the inclusion-exclusion over left-out legs
+        for w in symmetric_group(5):
+            for root in range(1, 6):
+                expected = len(enumerate_star(w, 0, root))
+                assert count_star(w, 0, root) == expected, (str(w), root)
 
     def test_star_at_every_root(self):
         for w in self.CLASSES:
