@@ -34,8 +34,10 @@ act[(a, b)][rank], from a start layer that each caller passes.  The aux is
 the number k of legs a star walk may use, always its first k legs (star,
 from the identity at every k at once; the unconstrained count reads k =
 n - 1, and ``count_star`` sums over the legs the target fixes by
-inclusion-exclusion), the least order rank of the next factor (monotone,
-from the identity) or the orbit block labels (double Hurwitz, from a class
+inclusion-exclusion), the least larger symbol of the next factor
+(monotone, from the identity, in the natural order only: ``count_monotone``
+reads any other order at a relabelled target, so there is one monotone walk
+per degree) or the orbit block labels (double Hurwitz, from a class
 representative).  The transitive part of a Jucys-Murphy monomial in
 ``algebra`` runs on the same walk, with aux (slot position, block labels).
 One cache keeps the ``_WALK_CACHE_SIZE`` most recently used walks.
@@ -45,8 +47,8 @@ Monotone double counts have two readers of the natural monotone walk.
 ranks c * target, c running over the full cycles; ``monotone_double_sweep``
 starts the walk at every full cycle at once and reads the count at every
 target of S_n.  Each is the cheaper one for its callers.  Cold, on one
-core (Python 3.11, x86-64), the sweeps of S_6 at g = 0, 1, 2 take 11.6 ms,
-while the per-target reader takes 4.3 ms over S_6's eleven class
+core (Python 3.11, x86-64), the sweeps of S_6 at g = 0, 1, 2 take 9.9 ms,
+while the per-target reader takes 4.0 ms over S_6's eleven class
 representatives, as a counter of a few targets needs.  Over the whole group
 the per-target reader pays (n-1)! lookups per target: the ``theorem-1.4``
 suite took 181.6 s at n = 8, g <= 1 with it, and 2.4 s with the sweep.
@@ -57,8 +59,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Iterator
 from functools import cached_property, lru_cache, partial
-from itertools import combinations, permutations, repeat
-from operator import itemgetter, methodcaller
+from itertools import chain, combinations, permutations, repeat
+from math import factorial
+from operator import itemgetter
 
 from .perms import (
     Frozen,
@@ -328,16 +331,44 @@ _WALKS: OrderedDict[tuple, tuple[list[dict], dict]] = OrderedDict()
 def _coding(n: int) -> tuple[tuple[bytes, ...], dict[bytes, int], dict[tuple, tuple[int, ...]]]:
     """S_n by lexicographic rank: the images as bytes by rank, their index
     {images: rank}, and the rows act[(a, b)][rank of p] == rank of p * (a b).
-    Only the rows (c-1 c) translate images; (a c) is (c-1 c)(a c-1)(c-1 c)."""
+
+    The rows (c-1 c) come from ``_adjacent_rows``, and every other row from
+    them, as (a c) is (c-1 c)(a c-1)(c-1 c).  Rows and index share the int
+    objects of one tuple(range(n!))."""
     perms = tuple(map(bytes, permutations(range(1, n + 1))))
-    index = dict(zip(perms, range(len(perms))))
+    ranks = tuple(range(len(perms)))
+    index = dict(zip(perms, ranks))
+    adjacent_rows = _adjacent_rows(n, ranks)
+    # n! slots that no row needs past this point: about 3 MB at n = 9
+    del ranks
     act = {}
-    for c in range(2, n + 1):
-        swap = methodcaller("translate", bytes.maketrans(bytes((c - 1, c)), bytes((c, c - 1))))
-        adjacent = act[c - 1, c] = tuple(map(index.__getitem__, map(swap, perms)))
+    for c, adjacent in enumerate(adjacent_rows, 2):
+        act[c - 1, c] = adjacent
         for a in range(1, c - 1):
             act[a, c] = itemgetter(*itemgetter(*adjacent)(act[a, c - 1]))(adjacent)
     return perms, index, act
+
+
+def _adjacent_rows(n: int, ranks: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The rows (c-1 c), c = 2..n, of S_n's lexicographic coding, built up
+    from S_1, with every entry read from ``ranks``, tuple(range(n!)).
+
+    S_m in lexicographic order is m blocks of (m-1)!, block j holding the
+    permutations with first image j, its other images ordered as S_{m-1}
+    after relabelling [m] - {j} onto [m-1].  Exchanging the values c-1 and c
+    moves block c-1 onto block c and back, entry for entry, and inside
+    any other block j it is S_{m-1}'s swap (c-2 c-1) if j < c-1, else
+    (c-1 c)."""
+    rows: list[tuple[int, ...]] = []
+    for m in range(2, n + 1):
+        size = factorial(m - 1)
+        blocks = [ranks[j:j + size] for j in range(0, m * size, size)]
+        rows = [tuple(chain.from_iterable(
+                    blocks[c - 1] if j == c - 1 else blocks[c - 2] if j == c
+                    else map(block.__getitem__, rows[c - 3 if j < c - 1 else c - 2])
+                    for j, block in enumerate(blocks, 1)))
+                for c in range(2, m + 1)]
+    return rows
 
 
 def _rank(p: Permutation) -> int:
@@ -362,10 +393,11 @@ def _walk(n: int, key: tuple, moves, steps: int, start: dict, keep=True) -> dict
     ``keep``, cached with the walk; ``start`` is read only when the walk is
     not cached yet.  Each caller passes its own start layer: the star
     counters start at the identity with every leg prefix k = 0..n-1 as
-    aux, in one walk; the monotone counters start at the identity with aux
-    0; ``monotone_double_sweep`` starts
-    the natural monotone walk at every full cycle at once, with aux 0; the
-    double Hurwitz counter starts at a class representative with its
+    aux, in one walk; the monotone counters start the natural monotone walk,
+    the only one per degree, at the identity with aux 0;
+    ``monotone_double_sweep`` starts the natural monotone moves at every
+    full cycle at once, with aux 0, as a walk of its own; the double
+    Hurwitz counter starts at a class representative with its
     cycles as blocks; and ``algebra._transitive_monomial`` starts at the
     identity with aux (0, singleton blocks), with moves that reach only
     states that can still end in one block; it keeps nothing, as it
@@ -556,27 +588,35 @@ def enumerate_star(target: Permutation, genus: int, root: int) -> list[StarFacto
 # monotone factorisations
 
 
-def _monotone_moves(order: TotalOrder, least: int):
-    """Moves of a monotone walk whose aux is the least order rank that the
-    next factor's larger symbol may have; the move's rank becomes the aux."""
-    for t in all_transpositions(order.n):
-        big = order.rank(order.larger_of(t))
-        if big >= least:
-            yield (t.a, t.b), big
+def _monotone_moves(n: int, least: int):
+    """Moves of the natural monotone walk on S_n, whose aux is the least
+    larger symbol that the next factor may have; the move's larger symbol
+    becomes the aux."""
+    for t in all_transpositions(n):
+        if t.b >= least:
+            yield (t.a, t.b), t.b
 
 
 def monotone_length(target: Permutation, genus: int) -> int:
     return target.n - target.cycle_count + 2 * genus
 
 
-def _monotone_layer(order: TotalOrder, steps: int) -> dict:
-    """Layer ``steps`` of the monotone walk for ``order``, from the identity."""
-    return _walk(order.n, ("monotone", order.sequence), partial(_monotone_moves, order), steps,
-                 {0: {0: 1}})
+def _monotone_layer(n: int, steps: int) -> dict:
+    """Layer ``steps`` of the natural monotone walk on S_n, from the identity."""
+    return _walk(n, ("monotone",), partial(_monotone_moves, n), steps, {0: {0: 1}})
 
 
 def count_monotone(target: Permutation, genus: int, order: TotalOrder | None = None) -> int:
-    """Number of monotone factorisations, by dynamic programme."""
+    """Number of monotone factorisations, by dynamic programme.
+
+    Relabelling every symbol s by its rank rho(s) under ``order`` sends the
+    factorisations of w monotone under ``order`` one to one onto the
+    naturally monotone factorisations of rho w rho^{-1}, the permutation
+    taking rho(s) to rho(w(s)).  So every order reads the one natural
+    monotone walk, at that relabelled target.  Monotone counts are class
+    functions, so reading w itself would give the same number; the
+    relabel keeps the count from resting on that theorem.
+    """
     n = target.n
     if order is None:
         order = TotalOrder.natural(n)
@@ -584,8 +624,9 @@ def count_monotone(target: Permutation, genus: int, order: TotalOrder | None = N
         raise ValueError("order/target degree differs from n")
     if genus < 0:
         return 0
-    layer = _monotone_layer(order, monotone_length(target, genus))
-    rank = _rank(target)
+    layer = _monotone_layer(n, monotone_length(target, genus))
+    rho, images = order._rank, target.images
+    rank = _coding(n)[1][bytes(rho[images[s - 1]] for s in order.sequence)]
     return sum(group.get(rank, 0) for group in layer.values())
 
 
@@ -595,9 +636,10 @@ def count_monotone_double(target: Permutation, genus: int) -> int:
     n = target.n
     if genus < 0:
         return 0
-    layer = _monotone_layer(TotalOrder.natural(n), target.cycle_count - 1 + 2 * genus)
+    layer = _monotone_layer(n, target.cycle_count - 1 + 2 * genus)
     index, then_target = _coding(n)[1], bytes((0, *target.images)).ljust(256, b"\0")
-    ranks = [index[c.translate(then_target)] for c in _full_cycle_images(n)]
+    ranks = list(map(index.__getitem__,
+                     map(bytes.translate, _full_cycle_images(n), repeat(then_target))))
     return sum(sum(map(group.get, ranks, repeat(0))) for group in layer.values())
 
 
@@ -614,7 +656,7 @@ def monotone_double_sweep(n: int, gmax: int) -> Iterator[list[int]]:
     for rank, images in enumerate(perms):
         by_cycles[len(_cycles_of(images))].append(rank)
     start = {0: dict.fromkeys(map(index.__getitem__, _full_cycle_images(n)), 1)}
-    moves = partial(_monotone_moves, TotalOrder.natural(n))
+    moves = partial(_monotone_moves, n)
     for genus in range(gmax + 1):
         total = [0] * len(perms)
         for c in range(1, n + 1):
