@@ -6,8 +6,9 @@ The Jucys-Murphy element for slot k is the sum of the transpositions
 slots from 2 to n are handled symbolically by :class:`SymExpr`, one class
 holding an expansion function: ``e``, ``h``, ``p``, ``jm_var`` and integers
 wrap small ones, and ``+``, ``-``, ``*`` and ``**`` compose them.  Expanding an
-expression produces monomials, each a tuple of exponents for slots 2..n,
-and every monomial has a canonical multiline form
+expression produces monomials, each a tuple of exponents for slots 2..n
+(inside, one int with a 64-bit field per slot, so that multiplying two
+monomials adds two ints), and every monomial has a canonical multiline form
 
     product over slots j ascending of (sum of (i j) over i < j)^(exponent).
 
@@ -16,9 +17,17 @@ the transposition tuples whose edges connect all of {1..n}.  It is linear
 over monomials but deliberately NOT an algebra homomorphism; see
 ``transitive_evaluate``.
 
-Plain values are products of ``AlgebraElement``s; a product composes each
-left term with every right term through one ``operator.itemgetter`` built
-for the left term, so the composition runs at C level.  The slots commute,
+Plain values are products of ``AlgebraElement``s.  A product composes each
+left term with every right term.  When its operands' coefficient groups are
+large enough that composed keys must repeat (``_counting_pays``), the pairs
+are counted at C level: each composition is one ``bytes.translate`` that
+also carries both coefficients' indices, one ``Counter`` counts them, and
+only the distinct keys are folded in Python (``_counted_product``).  Other
+products, a slot times an accumulator or a one-term operand, add each pair
+in Python through one ``operator.itemgetter`` per left term.  Both keep the
+terms in the order the pairs first make them, left term major.  Centrality,
+class decompositions and class sums read one memo, ``_classes``, of S_n's
+classes as image tuples, for the last two degrees read.  The slots commute,
 so ``evaluate`` may regroup the expansion: it sums slot 2 against one table
 of its powers and folds each later slot in by Horner's rule, with no memo.
 Transitive values of a monomial come from the layered walk of
@@ -34,12 +43,15 @@ This module is a route only; :mod:`starfact.verify` compares it with others.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from functools import lru_cache, partial, reduce
-from itertools import combinations, combinations_with_replacement, compress
-from operator import add, itemgetter
+from itertools import combinations, combinations_with_replacement, compress, permutations
+from math import factorial
+from operator import itemgetter
 
 from .factorisations import _coding, _join, _walk
-from .perms import Partition, Permutation, conjugacy_classes
+from .perms import Partition, Permutation, _cycles_of
 
 
 class NotCentralError(ValueError):
@@ -60,6 +72,48 @@ def _plus(lhs: dict, rhs: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
+def _counting_pays(n: int, left: dict, right: dict) -> bool:
+    """Whether ``_counted_product`` should multiply these term maps: its
+    bytes have room for the degree and both sides' coefficient groups, and
+    a pair of groups, one from each side, holds on average more term pairs
+    than S_n has elements, so that their composed keys must repeat.  Below
+    that, the pairwise loop of ``AlgebraElement.__mul__`` is cheaper."""
+    pairs = len(left) * len(right)
+    if not 1 < n < 255 or pairs <= factorial(n):
+        return False
+    lgroups, rgroups = len(set(left.values())), len(set(right.values()))
+    return lgroups <= 255 - n and rgroups <= 256 and pairs > factorial(n) * lgroups * rgroups
+
+
+def _counted_product(n: int, left: dict, right: dict) -> dict:
+    """Product of two term maps, 1 < n <= 254, with at most 255 - n distinct
+    coefficients on the left and 256 on the right, counted at C level.
+
+    Each right term q is a 256-byte ``bytes.translate`` table sending v in
+    1..n to q's v-th image, 0 to the index of q's coefficient and every
+    byte past n to itself.  Each left term p is the bytes of its images, a
+    0 and n + 1 plus the index of its coefficient, so translating p by q
+    gives the images of p then q followed by both coefficients' indices.
+    One ``Counter`` counts these keys over every pair, left term major, so
+    its keys first appear in the order the pairwise product makes them;
+    each key's count times its two coefficients is folded into its images
+    in that order."""
+    lids = {c: n + 1 + i for i, c in enumerate(dict.fromkeys(left.values()))}
+    rids = {c: i for i, c in enumerate(dict.fromkeys(right.values()))}
+    rest = bytes(range(n + 1, 256))
+    tables = [bytes((rids[c], *q)) + rest for q, c in right.items()]
+    counts: Counter[bytes] = Counter()
+    for p, c in left.items():
+        counts.update(map(bytes((*p, 0, lids[c])).translate, tables))
+    weight = {bytes((j, i)): c1 * c2 for c1, i in lids.items() for c2, j in rids.items()}
+    out: dict[bytes, int] = {}
+    get = out.get
+    for key, k in counts.items():
+        r = key[:n]
+        out[r] = get(r, 0) + weight[key[n:]] * k
+    return {tuple(r): v for r, v in out.items() if v}
+
+
 class AlgebraElement:
     """An element of the integer group algebra of S_n, as a sparse
     permutation-to-coefficient map."""
@@ -70,6 +124,14 @@ class AlgebraElement:
         self.n = n
         self.terms: dict[tuple[int, ...], int] = {
             tuple(images): coeff for images, coeff in (terms or {}).items() if coeff}
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[tuple[int, ...], int]) -> "AlgebraElement":
+        """An element on a term map whose keys are already image tuples and
+        whose coefficients are all nonzero, unchecked."""
+        out = object.__new__(cls)
+        out.n, out.terms = n, terms
+        return out
 
     @classmethod
     def zero(cls, n: int) -> "AlgebraElement":
@@ -92,9 +154,8 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.n != other.n:
             raise ValueError("degree mismatch")
-        out = AlgebraElement(self.n)
-        out.terms = _plus(self.terms, other.terms)  # tuple keys, no zeros: no second pass
-        return out
+        # tuple keys, no zeros: no second pass
+        return AlgebraElement._trusted(self.n, _plus(self.terms, other.terms))
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.n, {k: -v for k, v in self.terms.items()})
@@ -108,20 +169,24 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, int):
             return other * self
-        if self.n != other.n:
+        n = self.n
+        if n != other.n:
             raise ValueError("degree mismatch")
+        left, right = self.terms, other.terms
+        if _counting_pays(n, left, right):
+            return AlgebraElement._trusted(n, _counted_product(n, left, right))
+        # p then q is q read at p's images, so one itemgetter per p composes
+        # at C level, except below degree 2, where S_n is trivial and a
+        # single-index itemgetter would return a scalar
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        right = other.terms.items()
-        for p, c1 in self.terms.items():
-            # p then q is q read at p's images; one itemgetter per p composes
-            # at C level, except below degree 2, where S_n is trivial and a
-            # single-index itemgetter would return a scalar
-            compose = itemgetter(*[v - 1 for v in p]) if self.n > 1 else tuple
-            for q, c2 in right:
+        right_items = right.items()
+        for p, c1 in left.items():
+            compose = itemgetter(*[v - 1 for v in p]) if n > 1 else tuple
+            for q, c2 in right_items:
                 r = compose(q)
                 out[r] = get(r, 0) + c1 * c2
-        return AlgebraElement(self.n, out)
+        return AlgebraElement._trusted(n, {k: v for k, v in out.items() if v})
 
     def __pow__(self, k: int) -> "AlgebraElement":
         if k < 0:
@@ -147,15 +212,17 @@ class AlgebraElement:
     # class structure ----------------------------------------------------
 
     def central_witness(self) -> tuple[Permutation, Permutation] | None:
-        """Two same-type permutations with different coefficients, or None."""
+        """Two same-type permutations with different coefficients, or None:
+        the first member of the first class whose coefficients differ, and
+        its first member with another coefficient."""
         if not self.terms:  # zero is central; no class need be read
             return None
-        for members in conjugacy_classes(self.n).values():
-            first = members[0]
-            c0 = self.coefficient(first)
-            for p in members[1:]:
-                if self.coefficient(p) != c0:
-                    return (first, p)
+        get = self.terms.get
+        for _, members in _classes(self.n):
+            if len(set(map(get, members))) > 1:
+                first = get(members[0])
+                other = next(q for q in members if get(q) != first)
+                return Permutation(members[0]), Permutation(other)
         return None
 
     def is_central(self) -> bool:
@@ -171,12 +238,21 @@ class AlgebraElement:
                 f"not central: coefficient {self.coefficient(a)} at {a} "
                 f"but {self.coefficient(b)} at {b}",
             )
-        out: dict[Partition, int] = {}
-        for lam, members in conjugacy_classes(self.n).items():
-            coeff = self.coefficient(members[0])
-            if coeff:
-                out[lam] = coeff
-        return out
+        get = self.terms.get
+        return {lam: coeff for lam, members in _classes(self.n) if (coeff := get(members[0]))}
+
+
+# Every caller reads the classes of one degree before the next, so two
+# degrees suffice, as for ``perms.conjugacy_classes``.
+@lru_cache(maxsize=2)
+def _classes(n: int) -> tuple[tuple[Partition, tuple[tuple[int, ...], ...]], ...]:
+    """The conjugacy classes of S_n in ``conjugacy_classes`` order, each as
+    its cycle type and its members' images in lexicographic order."""
+    members: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for images in permutations(range(1, n + 1)):
+        parts = tuple(sorted(map(len, _cycles_of(images)), reverse=True))
+        members.setdefault(parts, []).append(images)
+    return tuple((Partition(parts), tuple(group)) for parts, group in members.items())
 
 
 def jm_element(n: int, k: int) -> AlgebraElement:
@@ -189,7 +265,7 @@ def jm_element(n: int, k: int) -> AlgebraElement:
 def class_sum(n: int, lam: Partition) -> AlgebraElement:
     if lam.n != n:
         raise ValueError(f"{lam} is not a partition of {n}")
-    return AlgebraElement(n, {p.images: 1 for p in conjugacy_classes(n)[lam]})
+    return AlgebraElement._trusted(n, dict.fromkeys(dict(_classes(n))[lam], 1))
 
 
 def ordered_decomposition(decomp: dict[Partition, int]) -> list[tuple[Partition, int]]:
@@ -212,11 +288,19 @@ def format_class_decomposition(decomp: dict[Partition, int]) -> str:
 # symbolic symmetric polynomials in the Jucys-Murphy slots
 
 
+# Bits per slot in a packed monomial.  A field would carry only at an
+# exponent of 2^64, which takes 2^64 multiplications, or a part that long.
+_SLOT_BITS = 64
+
+
 class SymExpr:
     """Polynomial in the slot variables, held as its expansion function:
-    ``expand(n)`` gives a monomial-to-coefficient dict over exponent tuples
-    for slots 2..n.  ``+``, ``-``, ``*`` and ``**`` build a new expression
-    whose function combines the operands' expansions.
+    ``packed(n)`` gives a monomial-to-coefficient dict over packed monomials,
+    each one int with slot j's exponent in bits [64(j - 2), 64(j - 1)), so
+    that multiplying two monomials adds two ints.  ``expand(n)`` unpacks it
+    into exponent tuples for slots 2..n.  ``+``, ``-``, ``*`` and ``**``
+    build a new expression whose function combines the operands' packed
+    expansions.
 
     >>> (e(1) ** 2 - p(2)).expand(3)
     {(1, 1): 2}
@@ -226,10 +310,14 @@ class SymExpr:
     ValueError: slot 3 absent for n=2
     """
 
-    __slots__ = ("expand",)
+    __slots__ = ("packed",)
 
-    def __init__(self, expand) -> None:
-        self.expand = expand
+    def __init__(self, packed) -> None:
+        self.packed = packed
+
+    def expand(self, n: int) -> dict[tuple[int, ...], int]:
+        """The expansion over exponent tuples for slots 2..n."""
+        return {_unpack(key, n): coeff for key, coeff in self.packed(n).items()}
 
     def __add__(self, other):
         return sum_of((self, other))
@@ -252,19 +340,26 @@ class SymExpr:
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
 
-        def expand(n: int) -> dict[tuple[int, ...], int]:
-            base, out = self.expand(n), {(0,) * (n - 1): 1}
+        def packed(n: int) -> dict[int, int]:
+            base, out = self.packed(n), {0: 1}
             for _ in range(k):
                 out = _times(out, base)
             return out
 
-        return SymExpr(expand)
+        return SymExpr(packed)
+
+
+def _unpack(monomial: int, n: int) -> tuple[int, ...]:
+    """The exponents of slots 2..n in a packed monomial: its bytes, read as
+    64-bit fields in native order."""
+    width = _SLOT_BITS // 8 * max(n - 1, 0)
+    return tuple(memoryview(monomial.to_bytes(width, sys.byteorder)).cast("Q"))
 
 
 def _combine(merge, *operands: SymExpr) -> SymExpr:
     """The expression whose expansion merges the operands' expansions left
     to right in one loop, so it never recurses once per operand."""
-    return SymExpr(lambda n: reduce(merge, (x.expand(n) for x in operands)))
+    return SymExpr(lambda n: reduce(merge, (x.packed(n) for x in operands)))
 
 
 def sum_of(terms) -> SymExpr:
@@ -281,29 +376,27 @@ def _as_expr(x) -> SymExpr:
     if isinstance(x, SymExpr):
         return x
     if isinstance(x, int):
-        return SymExpr(lambda n: {(0,) * (n - 1): x} if x else {})
+        return SymExpr(lambda n: {0: x} if x else {})
     raise TypeError(f"cannot treat {x!r} as an expression")
 
 
-def _times(lhs: dict, rhs: dict) -> dict[tuple[int, ...], int]:
-    """Product of two expanded polynomials."""
-    out: dict[tuple[int, ...], int] = {}
+def _times(lhs: dict, rhs: dict) -> dict[int, int]:
+    """Product of two packed expansions."""
+    out: dict[int, int] = {}
+    get = out.get
     for ka, va in lhs.items():
         for kb, vb in rhs.items():
-            key = tuple(map(add, ka, kb))
-            out[key] = out.get(key, 0) + va * vb
+            key = ka + kb
+            out[key] = get(key, 0) + va * vb
     return {k: v for k, v in out.items() if v}
 
 
-def _generator(choose, k: int, n: int) -> dict[tuple[int, ...], int]:
-    """One generator of degree k over slots 2..n: each choice that
-    ``choose(positions, k)`` yields adds one to the monomial of its counts."""
-    out: dict[tuple[int, ...], int] = {}
-    positions = range(n - 1)
-    for chosen in choose(positions, k):
-        key = tuple(map(chosen.count, positions))
-        out[key] = out.get(key, 0) + 1
-    return out
+def _generator(choose, k: int, n: int) -> dict[int, int]:
+    """One generator of degree k over slots 2..n, packed: ``choose(units,
+    k)`` picks among the slots' unit monomials, and each pick adds one to
+    the sum of its units."""
+    units = [1 << _SLOT_BITS * i for i in range(n - 1)]
+    return Counter(map(sum, choose(units, k)))
 
 
 def _gen_product(choose, parts: tuple[int, ...]) -> SymExpr:
@@ -327,7 +420,7 @@ def h(*parts: int) -> SymExpr:
 
 def p(*parts: int) -> SymExpr:
     """Product of power sums; p_k takes one slot k times, so p_0 is n - 1."""
-    return _gen_product(lambda positions, k: ((i,) * k for i in positions), parts)
+    return _gen_product(lambda units, k: ((unit,) * k for unit in units), parts)
 
 
 def jm_var(k: int) -> SymExpr:
@@ -335,12 +428,12 @@ def jm_var(k: int) -> SymExpr:
     if k < 2:
         raise ValueError("slots start at 2")
 
-    def expand(n: int) -> dict[tuple[int, ...], int]:
+    def packed(n: int) -> dict[int, int]:
         if k > n:
             raise ValueError(f"slot {k} absent for n={n}")
-        return {tuple(int(j == k) for j in range(2, n + 1)): 1}
+        return {1 << _SLOT_BITS * (k - 2): 1}
 
-    return SymExpr(expand)
+    return SymExpr(packed)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +514,13 @@ _MONOMIAL_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
-def _transitive_monomial(n: int, exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Transitive part of a canonical monomial, as (rank in S_n, count)
-    pairs: the layered walk over (prefix product, connectivity partition of
-    {1..n}), slots ascending, factors per slot chosen left to right, pruned
-    to the states that can still connect (``_transitive_moves``) and read
-    where one block is left."""
-    slots = tuple(j for j, mult in enumerate(exps, 2) for _ in range(mult))
+def _transitive_monomial(n: int, monomial: int) -> tuple[tuple[int, int], ...]:
+    """Transitive part of a canonical monomial, packed as in ``SymExpr``, as
+    (rank in S_n, count) pairs: the layered walk over (prefix product,
+    connectivity partition of {1..n}), slots ascending, factors per slot
+    chosen left to right, pruned to the states that can still connect
+    (``_transitive_moves``) and read where one block is left."""
+    slots = tuple(j for j, mult in enumerate(_unpack(monomial, n), 2) for _ in range(mult))
     layer = _walk(n, ("transitive", slots), partial(_transitive_moves, slots), len(slots),
                   {(0, tuple(range(n))): {0: 1}}, keep=False)
     return tuple(layer.get((len(slots), (0,) * n), {}).items())
@@ -442,8 +535,8 @@ def transitive_evaluate(expr: SymExpr, n: int) -> AlgebraElement:
     """
     perms = _coding(n)[0]
     total = [0] * len(perms)
-    for exps, coeff in expr.expand(n).items():
-        for rank, cnt in _transitive_monomial(n, exps):
+    for monomial, coeff in expr.packed(n).items():
+        for rank, cnt in _transitive_monomial(n, monomial):
             total[rank] += coeff * cnt
     # the nonzero counts and their permutations, paired in rank order at C level
     return AlgebraElement(n, dict(zip(compress(perms, total), filter(None, total))))

@@ -19,9 +19,12 @@ from starfact import Partition, Permutation, TotalOrder, partitions_of
 from starfact.algebra import (
     AlgebraElement,
     NotCentralError,
+    _classes,
+    _counting_pays,
     _transitive_monomial,
     _transitive_move_list,
     _transitive_moves,
+    _unpack,
     class_sum,
     e,
     evaluate,
@@ -116,12 +119,71 @@ class TestElements:
         picked = rng.sample(group, min(3, len(group)))
         sparse = AlgebraElement(n, {w: rng.randint(-4, 4) or 1 for w in picked})
         jm = jm_element(n, n)
-        elements = (dense, sparse, jm, -jm, AlgebraElement.one(n), AlgebraElement.zero(n))
+        # one coefficient on many terms, and a distinct coefficient on each
+        # of a few terms
+        largest = max(partitions_of(n), key=lambda lam: len(class_sum(n, lam).terms))
+        spread = AlgebraElement(n, {w: 7 * i - 20 for i, w in enumerate(group[:6])})
+        elements = [dense, sparse, jm, -jm, AlgebraElement.one(n), AlgebraElement.zero(n),
+                    class_sum(n, largest), spread]
+        if n >= 3:
+            # balanced sums to zero, so the whole group times it vanishes,
+            # and lopsided times it is zero at all but six keys
+            balanced = AlgebraElement(n, {perm(t, n).images: c for t, c in (
+                ("(1)", 1), ("(1 2)", 1), ("(1 2 3)", 1), ("(1 3)", -1), ("(2 3)", -1),
+                ("(1 3 2)", -1))})
+            lopsided = AlgebraElement(n, dict.fromkeys(group, 1)) + 2 * jm_element(n, 2)
+            elements += [balanced, lopsided]
+            got = lopsided * balanced
+            assert got == 2 * jm_element(n, 2) * balanced and len(got.terms) == 6
+        paths = set()
         for a in elements:
             for b in elements:
+                paths.add(_counting_pays(n, a.terms, b.terms))
                 got, want = a * b, reference(a, b)
                 assert got == want
                 assert list(got.terms) == list(want.terms)
+                assert 0 not in got.terms.values()
+        # both kernels ran, and the cancelling pair went through counting
+        assert paths == ({False, True} if n > 1 else {False})
+        if n >= 3:
+            assert _counting_pays(n, lopsided.terms, balanced.terms)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_class_reads_match_brute_force(self, n):
+        # the witness is the first member of the first class whose
+        # coefficients differ and that class's first member with another one
+        def witness(x):
+            for members in conjugacy_classes(n).values():
+                for q in members[1:]:
+                    if x.coefficient(q) != x.coefficient(members[0]):
+                        return members[0], q
+            return None
+
+        rng = random.Random(100 + n)
+        classes = conjugacy_classes(n)
+        central = [AlgebraElement.zero(n)]
+        for _ in range(4):
+            z = AlgebraElement.zero(n)
+            for lam in classes:
+                z += rng.randint(-2, 2) * class_sum(n, lam)
+            central.append(z)
+        for z in central:
+            assert z.central_witness() is None and z.is_central()
+            want = [(lam, z.coefficient(members[0])) for lam, members in classes.items()
+                    if z.coefficient(members[0])]
+            assert list(z.decompose().items()) == want
+        # a central element moved at one member of a class of two or more;
+        # S_1 and S_2 have no such class, as every element of theirs is central
+        movable = [w for w in symmetric_group(n) if len(classes[w.cycle_type()]) > 1]
+        for _ in range(8 if movable else 0):
+            w = rng.choice(movable)
+            x = rng.choice(central) + rng.choice([-1, 1, 3]) * AlgebraElement.from_permutation(w)
+            got = x.central_witness()
+            assert got == witness(x) and got is not None
+            assert [type(p) for p in got] == [Permutation, Permutation]
+            with pytest.raises(NotCentralError) as err:
+                x.decompose()
+            assert err.value.witness == got
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -140,9 +202,9 @@ class TestElements:
     def test_zero_is_central_without_reading_classes(self, monkeypatch, n):
         # zero has no coefficient to compare, so no class of S_n is walked
         def unread(n):
-            raise AssertionError("conjugacy_classes called for the zero element")
+            raise AssertionError("classes read for the zero element")
 
-        monkeypatch.setattr("starfact.algebra.conjugacy_classes", unread)
+        monkeypatch.setattr("starfact.algebra._classes", unread)
         zero = AlgebraElement.zero(n)
         assert zero.central_witness() is None
         assert zero.is_central()
@@ -208,14 +270,14 @@ class TestExpansion:
 
     @pytest.mark.parametrize("basis", [e, h, p], ids=["e", "h", "p"])
     def test_single_generators(self, basis):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for k in range(7):
                 assert basis(k).expand(n) == slot_expansion(basis.__name__, (k,), n), (n, k)
 
     @pytest.mark.parametrize("basis, parts", [(e, (2, 1)), (h, (1, 1)), (p, (2, 1))],
                              ids=["e21", "h11", "p21"])
     def test_products(self, basis, parts):
-        for n in range(1, 7):
+        for n in range(1, 8):
             assert basis(*parts).expand(n) == slot_expansion(basis.__name__, parts, n), n
 
     def test_edge_cases(self):
@@ -260,6 +322,14 @@ class TestSymbolicEvaluation:
                 evaluate(jm_var(7) ** k, 3)
             with pytest.raises(ValueError, match="slot 7 absent for n=3"):
                 transitive_evaluate(jm_var(7) ** k, 3)
+
+    def test_packed_exponents_never_carry(self):
+        # past 2^16, so a narrow field would spill into slot 3's
+        assert (jm_var(2) ** 70_000 * jm_var(3)).expand(3) == {(70_000, 1): 1}
+        # each 64-bit field holds up to 2^64 - 1 on its own
+        top = 2**64 - 1
+        assert _unpack(top | 5 << 64 | top << 128, 4) == (top, 5, top)
+        assert _unpack(0, 1) == () and _unpack(0, 3) == (0, 0)
 
     def test_power_past_the_recursion_limit(self):
         k = sys.getrecursionlimit() + 200
@@ -375,7 +445,11 @@ class TestTransitivityOperator:
         sweep = list(monomials(5, 5))
         first = {}
         for i, (n, exps) in enumerate(sweep):
-            _transitive_monomial(n, exps)
+            expr = e()
+            for j, a in enumerate(exps, 2):
+                expr = expr * jm_var(j) ** a
+            (monomial,) = expr.packed(n)
+            _transitive_monomial(n, monomial)
             # counting and double Hurwitz walks share the cache with these
             lam = partitions_of(n)[i % len(partitions_of(n))]
             counts = (
@@ -394,6 +468,7 @@ class TestTransitivityOperator:
         # the package uses
         for n in range(1, 7):
             assert sum(map(len, conjugacy_classes(n).values())) == factorial(n)
+            assert sum(len(members) for _, members in _classes(n)) == factorial(n)
         # the order memos of the listers and the rewrite core, past S_6's
         # orders, and the star factor tables past the roots of degree 10
         order_memos = (sort_swaps, _ranks, _rank_sorted_moves)
@@ -418,6 +493,7 @@ class TestTransitivityOperator:
                 for alpha in partitions_of(total - i):
                     recurrence_star(i, alpha, 3)
         assert conjugacy_classes.cache_info().currsize == 2
+        assert _classes.cache_info().currsize == 2
         # every module-level memo of the package, found rather than listed,
         # so a new unbounded one fails here
         memos = {
@@ -426,8 +502,8 @@ class TestTransitivityOperator:
             for obj in vars(importlib.import_module(info.name)).values()
             if hasattr(obj, "cache_info")
         }
-        assert {_transitive_monomial, _transitive_move_list, conjugacy_classes, *order_memos,
-                _star_factors} <= memos
+        assert {_transitive_monomial, _transitive_move_list, conjugacy_classes, _classes,
+                *order_memos, _star_factors} <= memos
         for memo in memos:
             info = memo.cache_info()
             assert info.maxsize is not None, memo.__qualname__
