@@ -128,10 +128,11 @@ _CAPS = {
     "DP counting": {"n": 6, "genus": 8},
     "listing": {"n": 5, "genus": 2},
     # each closed form's worst measured corner (Python 3.11, 2-core x86-64): the
-    # star series formula at 44 distinct parts summing to 1000, genus 100, 6.4 s
-    # (n = 100 at genus 200 takes 12 s; it slows with genus and distinct parts);
-    # the md closed form at [1000], genus 1000, 3.4 s (it slows with n(n + 2g))
-    "star formula route": {"n": 1000, "genus": 100},
+    # star series formula at n = 1000, genus 15 000, 3.6-5.8 s ([2^500]; up to
+    # 8.9 s at 20 000), though no count of 3 <= n <= 12 prints past genus 7141,
+    # nor [1000] past 654; the md closed form at [1000], genus 1000, 3.4 s (it
+    # slows with n(n + 2g))
+    "star formula route": {"n": 1000, "genus": 15000},
     "md formula route": {"n": 1000, "genus": 1000},
     "double Hurwitz enumeration": {"n": 7, "genus": 1},
     "group algebra": {"n": 6},
@@ -683,97 +684,99 @@ def cmd_table(args) -> int:
 # argument wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("count", "list", "trace", "algebra", "verify", "table")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone, whose usage
+    line still names all six (as an error after the subcommand prints it)."""
     parser = argparse.ArgumentParser(
         prog="starfact",
         description="Exact counting, bijections and group-algebra checks "
         "for transposition factorisations in symmetric groups.",
     )
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if command is None
+                                else "{" + ",".join(_COMMANDS) + "}")
 
-    def common(*formats: str) -> list[argparse.ArgumentParser]:
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument("--format", default="text",
-                            choices=["text", "json", *formats], help="output format")
-        return [parent]
+    def add(name: str, summary: str, *formats: str, bounded: bool = True):
+        """The subparser of ``name``, or None when another is built alone;
+        only the subcommands with feasibility bounds take the override."""
+        if command not in (None, name):
+            return None
+        added = sub.add_parser(name, help=summary)
+        added.add_argument("--format", default="text",
+                           choices=["text", "json", *formats], help="output format")
+        if bounded:
+            added.add_argument("--unsafe-bounds", action="store_true",
+                               help="override the built-in feasibility bounds")
+        return added
 
-    # only the subcommands with feasibility bounds take the override
-    bounded = argparse.ArgumentParser(add_help=False)
-    bounded.add_argument("--unsafe-bounds", action="store_true",
-                         help="override the built-in feasibility bounds")
+    if pc := add("count", "count factorisations of one target"):
+        pc.add_argument("--family", required=True,
+                        choices=["star", "monotone", "md", "dh"])
+        pc.add_argument("--target", help='permutation, e.g. "(1 2)(3)"')
+        pc.add_argument("--partition", help='cycle type, e.g. "[3,1]"')
+        pc.add_argument("--n", type=int, help="degree override for --target")
+        pc.add_argument("--genus", type=int, required=True)
+        pc.add_argument("--root", type=int, help="star root (default: n)")
+        pc.add_argument("--order", help='total order for family monotone, e.g. "3<2<1"')
+        pc.add_argument("--method", default="auto",
+                        choices=["auto", "dp", "listing", "formula"])
+        pc.set_defaults(func=cmd_count)
 
-    sub = parser.add_subparsers(dest="command", required=True)
+    if pl := add("list", "list factorisations of one target"):
+        pl.add_argument("--family", required=True, choices=["star", "monotone", "md"])
+        pl.add_argument("--target")
+        pl.add_argument("--partition")
+        pl.add_argument("--n", type=int)
+        pl.add_argument("--genus", type=int, required=True)
+        pl.add_argument("--root", type=int)
+        pl.add_argument("--order")
+        pl.set_defaults(func=cmd_list)
 
-    pc = sub.add_parser("count", parents=common() + [bounded],
-                        help="count factorisations of one target")
-    pc.add_argument("--family", required=True,
-                    choices=["star", "monotone", "md", "dh"])
-    pc.add_argument("--target", help='permutation, e.g. "(1 2)(3)"')
-    pc.add_argument("--partition", help='cycle type, e.g. "[3,1]"')
-    pc.add_argument("--n", type=int, help="degree override for --target")
-    pc.add_argument("--genus", type=int, required=True)
-    pc.add_argument("--root", type=int, help="star root (default: n)")
-    pc.add_argument("--order", help='total order for family monotone, e.g. "3<2<1"')
-    pc.add_argument("--method", default="auto",
-                    choices=["auto", "dp", "listing", "formula"])
-    pc.set_defaults(func=cmd_count)
+    if pt := add("trace", "print the move-by-move trace of a bijection", bounded=False):
+        pt.add_argument("--map", required=True, choices=list(_TRACE_MAPS))
+        pt.add_argument("--n", type=int)
+        pt.add_argument("--root", type=int)
+        pt.add_argument("--legs", help='star legs, e.g. "1,2,1"')
+        pt.add_argument("--order")
+        pt.add_argument("--factors", help='transpositions, e.g. "(1 3)(2 3)"')
+        pt.add_argument("--sigma", help="leading full cycle")
+        pt.add_argument("--tail", help="monotone tail transpositions")
+        pt.add_argument("--target")
+        pt.add_argument("--j", type=int, help="order position to swap")
+        pt.add_argument("--to-order", dest="to_order")
+        pt.add_argument("--conjugator")
+        pt.add_argument("--new-root", dest="new_root", type=int)
+        pt.add_argument("--to-target", dest="to_target")
+        pt.set_defaults(func=cmd_trace)
 
-    pl = sub.add_parser("list", parents=common() + [bounded],
-                        help="list factorisations of one target")
-    pl.add_argument("--family", required=True, choices=["star", "monotone", "md"])
-    pl.add_argument("--target")
-    pl.add_argument("--partition")
-    pl.add_argument("--n", type=int)
-    pl.add_argument("--genus", type=int, required=True)
-    pl.add_argument("--root", type=int)
-    pl.add_argument("--order")
-    pl.set_defaults(func=cmd_list)
+    if pa := add("algebra", "evaluate an expression in the group algebra"):
+        pa.add_argument("--n", type=int, required=True)
+        pa.add_argument("--expr", required=True,
+                        help='e.g. "T(J[4]^4)", "p[4]", "e[2,1]"')
+        pa.set_defaults(func=cmd_algebra)
 
-    pt = sub.add_parser("trace", parents=common(),
-                        help="print the move-by-move trace of a bijection")
-    pt.add_argument("--map", required=True, choices=list(_TRACE_MAPS))
-    pt.add_argument("--n", type=int)
-    pt.add_argument("--root", type=int)
-    pt.add_argument("--legs", help='star legs, e.g. "1,2,1"')
-    pt.add_argument("--order")
-    pt.add_argument("--factors", help='transpositions, e.g. "(1 3)(2 3)"')
-    pt.add_argument("--sigma", help="leading full cycle")
-    pt.add_argument("--tail", help="monotone tail transpositions")
-    pt.add_argument("--target")
-    pt.add_argument("--j", type=int, help="order position to swap")
-    pt.add_argument("--to-order", dest="to_order")
-    pt.add_argument("--conjugator")
-    pt.add_argument("--new-root", dest="new_root", type=int)
-    pt.add_argument("--to-target", dest="to_target")
-    pt.set_defaults(func=cmd_trace)
+    if pv := add("verify", "run a named verification suite"):
+        pv.add_argument("--suite", required=True, choices=sorted(SUITES))
+        pv.add_argument("--n", type=int)
+        pv.add_argument("--gmax", type=int)
+        pv.add_argument("--kmax", type=int)
+        pv.add_argument("--wmax", type=int)
+        pv.set_defaults(func=cmd_verify)
 
-    pa = sub.add_parser("algebra", parents=common() + [bounded],
-                        help="evaluate an expression in the group algebra")
-    pa.add_argument("--n", type=int, required=True)
-    pa.add_argument("--expr", required=True,
-                    help='e.g. "T(J[4]^4)", "p[4]", "e[2,1]"')
-    pa.set_defaults(func=cmd_algebra)
-
-    pv = sub.add_parser("verify", parents=common() + [bounded],
-                        help="run a named verification suite")
-    pv.add_argument("--suite", required=True, choices=sorted(SUITES))
-    pv.add_argument("--n", type=int)
-    pv.add_argument("--gmax", type=int)
-    pv.add_argument("--kmax", type=int)
-    pv.add_argument("--wmax", type=int)
-    pv.set_defaults(func=cmd_verify)
-
-    pb = sub.add_parser("table", parents=common("csv") + [bounded],
-                        help="cross-method agreement table over classes")
-    pb.add_argument("--nmax", type=int, default=4)
-    pb.add_argument("--gmax", type=int, default=1)
-    pb.set_defaults(func=cmd_table)
+    if pb := add("table", "cross-method agreement table over classes", "csv"):
+        pb.add_argument("--nmax", type=int, default=4)
+        pb.add_argument("--gmax", type=int, default=1)
+        pb.set_defaults(func=cmd_table)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its subcommand first builds that subparser alone
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = args.func(args)
         if sys.stdout is not None:  # None when started with stdout closed

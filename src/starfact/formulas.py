@@ -3,18 +3,16 @@
 A route only: it reads just :mod:`starfact.perms`, and
 :mod:`starfact.verify` compares its values with the other routes.
 Everything is exact: every stated division is checked to come out even.
-The series formula works on plain lists of `Fraction` coefficients: its
-series are even, so each list holds the coefficients of t^0, t^2, ...,
-t^(2g), and grouping equal parts leaves only nonnegative powers, with no
-series inverse.  Only the series functions import :mod:`fractions` (and
-the :mod:`decimal` it pulls in), so that ``import starfact`` stays light.
+The series formula works in integers only: with z = e^(t/2) its product
+of sinh series is one Laurent polynomial in z over a power of t, so the
+count is one signed sum of integer powers (see :func:`feray_count`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from .perms import Partition
 
@@ -74,37 +72,27 @@ def catalan(m: int) -> int:
 # closed formulas
 
 
-def _even_power(c: int, e: int, genus: int) -> list:
-    """Coefficients of u^0..u^genus, u = t^2, in f(c*t)^e for e >= 0, where
-    f(t) = 2 sinh(t/2)/t has c^(2k) / (4^k (2k+1)!) at u^k.  Since f(0) = 1,
-    the power obeys k p_k = sum_(j=1..k) ((e+1) j - k) f_j p_(k-j)."""
-    from fractions import Fraction
-
-    f = [Fraction(c ** (2 * k), 4**k * factorial(2 * k + 1)) for k in range(genus + 1)]
-    p = [Fraction(1)]
-    for k in range(1, genus + 1):
-        p.append(sum(((e + 1) * j - k) * f[j] * p[k - j] for j in range(1, k + 1)) / k)
-    return p
-
-
 def feray_count(lam: Partition, genus: int) -> int:
     """Transitive star count for a target of cycle type ``lam``, from the
     series formula: (2g+n+l-2)!/n! times the product of the parts times
-    the coefficient of t^(2g) in f(t)^(n-2) * prod f(part*t).
+    the coefficient of t^(2g) in f(t)^(n-2) * prod f(part*t), where
+    f(t) = 2 sinh(t/2)/t.
 
-    Every factor is even, so each is kept as its coefficients of t^0, t^2,
-    ..., t^(2g).  Equal parts are grouped: the product is prod_c f(c*t)^e_c,
-    where e_c is the multiplicity of the part c, plus n - 2 when c = 1.
-    Every e_c is nonnegative (for n = 1 the single part cancels f^(-1)),
-    so each factor is one power of a series with constant term 1, and no
-    series inverse is needed.  The result is asserted to be a nonnegative
-    integer.
+    Equal parts are grouped: e_c is the multiplicity of the part c, plus
+    n - 2 when c = 1, and every e_c is nonnegative (for n = 1 the single
+    part cancels f^(-1)).  Put z = e^(t/2), so f(c*t) = (z^c - z^-c)/(c*t)
+    and the product is P(z) / (t^E prod parts), with E = sum e_c = n+l-2
+    and P = prod_c (z^c - z^-c)^e_c, expanded binomially into integer
+    coefficients P_m of z^m.  Reading t^K, K = 2g + E, off each
+    z^m = e^(m t/2) gives the count sum_m P_m (m/2)^K / n!.  Every exponent
+    of P has the parity of sum c e_c = 2n - 2, so only even m = 2k occur,
+    and P_(-m) (-m)^K = P_m m^K since P has the parity of E: the count is
+    2 sum_(k>0) P_(2k) k^K / n!, plus P_0 when K = 0.  The result is
+    checked to be a nonnegative integer.
 
     >>> feray_count(Partition((2, 1)), 0)
     2
     """
-    from fractions import Fraction
-
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     n = lam.n
@@ -112,18 +100,27 @@ def feray_count(lam: Partition, genus: int) -> int:
         raise ValueError("partition must be nonempty")
     exponents = Counter(lam.parts)
     exponents[1] += n - 2
-    series = [Fraction(1)] + [Fraction(0)] * genus
-    for c, e in exponents.items():
-        power = _even_power(c, e, genus)
-        series = [sum(series[j] * power[k - j] for j in range(k + 1)) for k in range(genus + 1)]
-    value = (
-        Fraction(factorial(2 * genus + n + lam.length - 2), factorial(n))
-        * prod(lam.parts)
-        * series[genus]
-    )
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"series formula gave non-integral {value} for {lam}")
-    return int(value)
+    # the coefficients of z^-width..z^width, multiplied in one factor at a
+    # time, the factor with the most terms first
+    poly, width = [1], 0
+    for c, e in exponents.most_common():
+        width += c * e
+        out = [0] * (2 * width + 1)
+        for j in range(e + 1):
+            coef = -comb(e, j) if j % 2 else comb(e, j)
+            # poly's lowest term times z^(c(e - 2j)) lands at 2c(e - j) in out
+            start = 2 * c * (e - j)
+            end = start + len(poly)
+            out[start:end] = [b + coef * a for a, b in zip(poly, out[start:end])]
+        poly = out
+    power = 2 * genus + sum(exponents.values())  # K
+    total = 2 * sum(poly[width + 2 * k] * k**power for k in range(1, n))
+    if power == 0:
+        total += poly[width]
+    value, rest = divmod(total, factorial(n))
+    if rest or value < 0:
+        raise ArithmeticError(f"series formula gave {total}/{n}!, not a count, for {lam}")
+    return value
 
 
 def md_full_cycle(n: int, genus: int) -> int:

@@ -7,8 +7,11 @@ bijections have something dumb and trustworthy to disagree with.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial, prod
 
 from starfact import Partition, Permutation, TotalOrder, Transposition
 
@@ -197,6 +200,28 @@ def central_factorial_direct(m: int, k: int) -> int:
         if good:
             count += 1
     return count
+
+
+def feray_series(lam: Partition, genus: int) -> Fraction:
+    """The series formula in exact rationals, term by term: (2g+n+l-2)!/n!
+    times the product of the parts times the coefficient of t^(2g) in
+    f(t)^(n-2) * prod f(part*t), f(t) = 2 sinh(t/2)/t.  Every series is
+    even, so a list holds the coefficients of t^0, t^2, ..., t^(2g); each
+    power f(c t)^e with e >= 0 follows from f(0) = 1 by
+    k p_k = sum_(j=1..k) ((e+1) j - k) f_j p_(k-j)."""
+    n = lam.n
+    exponents = Counter(lam.parts)
+    exponents[1] += n - 2
+    series = [Fraction(1)] + [Fraction(0)] * genus
+    for c, e in exponents.items():
+        f = [Fraction(c ** (2 * k), 4**k * factorial(2 * k + 1)) for k in range(genus + 1)]
+        power = [Fraction(1)]
+        for k in range(1, genus + 1):
+            power.append(sum(((e + 1) * j - k) * f[j] * power[k - j]
+                             for j in range(1, k + 1)) / k)
+        series = [sum(series[j] * power[k - j] for j in range(k + 1)) for k in range(genus + 1)]
+    return (Fraction(factorial(2 * genus + n + lam.length - 2), factorial(n))
+            * prod(lam.parts) * series[genus])
 
 
 class JoinCut(Enum):

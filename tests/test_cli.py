@@ -99,8 +99,8 @@ class TestCount:
         )
 
     def test_formula_route_past_its_cap(self, capsys):
-        # each family's closed form has its own caps: the md closed form runs
-        # past the star series formula's genus cap and stops at its own
+        # each family's closed form has its own caps: the md closed form stops
+        # at genus 1000, far below the star series formula's genus cap
         argv = ("count", "--family", "md", "--partition", "[3]", "--method", "formula")
         code, out, err = run(capsys, *argv, "--genus", "401")
         assert (code, err) == (0, "")
@@ -789,8 +789,8 @@ CAP_CASES = [
       "--method", "listing"), "listing", "genus", 2, 3),
     (("count", "--family", "star", "--partition", "[1001]", "--genus", "0",
       "--method", "formula"), "star formula route", "n", 1000, 1001),
-    (("count", "--family", "star", "--partition", "[3]", "--genus", "101",
-      "--method", "formula"), "star formula route", "genus", 100, 101),
+    (("count", "--family", "star", "--partition", "[3]", "--genus", "15001",
+      "--method", "formula"), "star formula route", "genus", 15000, 15001),
     (("count", "--family", "md", "--partition", "[20000]", "--genus", "0",
       "--method", "formula"), "md formula route", "n", 1000, 20000),
     (("count", "--family", "md", "--partition", "[3]", "--genus", "1001",
@@ -822,6 +822,29 @@ class TestBounds:
         assert cases == {(what, name): cap for what, caps in cli._CAPS.items()
                          for name, cap in caps.items()}
         assert cli._CAPS["trace"] == {}
+
+
+class TestParser:
+    @staticmethod
+    def parsed(capsys, parser, *argv):
+        """What ``parser`` prints when it stops on ``argv``: stdout, stderr."""
+        with pytest.raises(SystemExit):
+            parser.parse_args(list(argv))
+        captured = capsys.readouterr()
+        return captured.out, captured.err
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_one_subcommand_parser_prints_as_the_full_one(self, capsys, command):
+        lazy, full = cli._build_parser(command), cli._build_parser()
+        for argv in ((command, "--help"), (command, "--bogus"), (command, "--format", "xml")):
+            assert self.parsed(capsys, lazy, *argv) == self.parsed(capsys, full, *argv), argv
+        assert lazy.format_usage() == full.format_usage()
+
+    def test_main_builds_every_subparser_without_a_leading_subcommand(self, capsys):
+        for argv in ((), ("--help",), ("bogus",), ("--format", "json", "count")):
+            with pytest.raises(SystemExit):
+                cli.main(list(argv))
+            assert capsys.readouterr() == self.parsed(capsys, cli._build_parser(), *argv)
 
 
 class TestEnvironment:

@@ -19,7 +19,7 @@ from starfact.formulas import (
 from starfact.perms import class_representative
 from starfact.verify import agreement_row, run_suite
 
-from oracles import central_factorial_direct, stirling_direct
+from oracles import central_factorial_direct, feray_series, stirling_direct
 
 
 class TestSpecialNumbers:
@@ -82,6 +82,20 @@ class TestClosedForms:
                         lam,
                         genus,
                     )
+
+    def test_feray_matches_the_rational_series(self):
+        for n in range(1, 13):
+            for lam in partitions_of(n):
+                for genus in range(6):
+                    assert feray_count(lam, genus) == feray_series(lam, genus), (lam, genus)
+
+    def test_feray_matches_the_rational_series_at_genus_30(self):
+        lam = Partition((13, 12, 11, 10, 9, 9, 8, 7, 6, 5, 4, 3, 2, 1))
+        assert feray_count(lam, 30) == feray_series(lam, 30)
+
+    def test_feray_matches_closed_forms_at_degree_200_genus_300(self):
+        assert feray_count(Partition((200,)), 300) == md_full_cycle(200, 300)
+        assert feray_count(Partition((1,) * 200), 300) == md_identity(200, 300)
 
     def test_full_cycle_values(self):
         assert md_full_cycle(3, 0) == 1

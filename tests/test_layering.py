@@ -106,18 +106,24 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def _loaded_by_import(*flags: str) -> set[str]:
-    """The modules ``import starfact.cli`` adds in a fresh interpreter run
-    with ``flags``, against those loaded before it, since site may preload
-    some on its own."""
-    code = ("import sys; before = set(sys.modules); import starfact.cli; "
-            "print(' '.join(sorted(set(sys.modules) - before)))")
+def _loaded_by(statement: str, *flags: str) -> set[str]:
+    """The modules ``statement`` adds in a fresh interpreter run with
+    ``flags``, against those loaded before it, since site may preload some
+    on its own.  The list goes to stderr, apart from what ``statement``
+    prints."""
+    code = (f"import sys; before = set(sys.modules); {statement}; "
+            "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    loaded = subprocess.run([sys.executable, *flags, "-c", code],
-                            env={**os.environ, "PYTHONPATH": path},
-                            capture_output=True, text=True, check=True).stdout.split()
+    return set(subprocess.run([sys.executable, *flags, "-c", code],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, check=True).stderr.split())
+
+
+def _loaded_by_import(*flags: str) -> set[str]:
+    """The modules ``import starfact.cli`` adds (see ``_loaded_by``)."""
+    loaded = _loaded_by("import starfact.cli", *flags)
     assert "starfact.cli" in loaded
-    return set(loaded)
+    return loaded
 
 
 def test_import_path_is_light():
@@ -127,3 +133,13 @@ def test_import_path_is_light():
 def test_import_path_is_light_without_site():
     # site preloads typing on some hosts, which would hide it above
     assert "typing" not in _loaded_by_import("-S")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--family", "star", "--partition", "[3,1]", "--genus", "1", "--format", "json"],
+    ["table", "--nmax", "3", "--gmax", "1", "--format", "json"],
+], ids=["count", "table"])
+def test_series_formula_runs_without_rational_arithmetic(argv):
+    loaded = _loaded_by(f"from starfact.cli import main; main({argv!r})")
+    assert "json" in loaded  # the call ran to its output
+    assert not {"fractions", "decimal", "numbers"} & loaded
